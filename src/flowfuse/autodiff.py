@@ -5,10 +5,10 @@ value, references to its parents, and a vector-Jacobian closure. Graphs are
 rebuilt per step; backward() walks the DAG in reverse topological order and
 accumulates adjoints. Primitives:
 
-    add, sub, mul, div, matmul, conv2d (stride 1|2), transposed conv2d,
-    leaky_relu, tanh, exp, log1p, abs (subgradient 0 at 0), sum, mean,
-    fft2 (complex, linear adjoint), complex magnitude, min-max normalize,
-    clamp (identity inside the bounds, zero outside).
+    add, sub, mul, div, matmul, column concat, conv2d (stride 1|2),
+    transposed conv2d, leaky_relu, tanh, exp, log1p, abs (subgradient 0 at 0),
+    sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
+    normalize, clamp (identity inside the bounds, zero outside).
 
 Complex gradients are packed as dL/dRe + i*dL/dIm, so chaining through the
 linear DFT uses the conjugate-transposed transform exactly.
@@ -165,6 +165,22 @@ def matmul(a, b) -> Node:
         (a, b),
         lambda g: (g @ b.value.T, a.value.T @ g),
         op="matmul",
+    )
+
+
+def concat_cols(a, b) -> Node:
+    """[a | b]: 2-D operands with equal row counts, joined along columns."""
+    a, b = _wrap(a), _wrap(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError("concat_cols expects 2-D operands")
+    if a.value.shape[0] != b.value.shape[0]:
+        raise ValueError(f"concat_cols row mismatch: {a.value.shape[0]} vs {b.value.shape[0]}")
+    split = a.value.shape[1]
+    return Node(
+        np.concatenate([a.value, b.value], axis=1),
+        (a, b),
+        lambda g: (g[:, :split], g[:, split:]),
+        op="concat",
     )
 
 

@@ -96,8 +96,17 @@ def load_flow_checkpoint(path):
         raise ValueError(f"{path}: not a velocity-model checkpoint")
     dim, alpha = tensors["flow.meta"]
     hidden = tuple(int(h) for h in tensors["flow.hidden"])
-    model = VelocityModel.mlp(int(dim), hidden, float(alpha), seed=0)
-    return model.with_params(_unpack_paramset("flow.params", tensors))
+    widths = [int(dim) + 1, *hidden, int(dim)]
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+            key = f"flow.params.{name}"
+            if key not in tensors:
+                raise ValueError(f"{path}: missing tensor {key}")
+            if tensors[key].shape != shape:
+                raise ValueError(f"{path}: tensor {key} has shape {tensors[key].shape}, "
+                                 f"expected {shape}")
+    return VelocityModel("mlp", _unpack_paramset("flow.params", tensors), dim=int(dim),
+                         hidden=hidden, alpha=float(alpha))
 
 
 def save_checkpoint(path, tensors: dict) -> None:

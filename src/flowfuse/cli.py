@@ -63,9 +63,11 @@ def toy2d_batch(rng, n: int) -> np.ndarray:
     return TOY2D_MODES[pick] + TOY2D_SIGMA * rng.standard_normal((n, 2))
 
 
+_IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".pnm")
+
+
 def _list_images(d: Path) -> list:
-    return sorted(p for p in Path(d).iterdir() if p.suffix.lower() in
-                  (".png", ".pgm", ".ppm", ".pnm"))
+    return sorted(p for p in Path(d).iterdir() if p.suffix.lower() in _IMAGE_SUFFIXES)
 
 
 def _pair_lumas(data_dir: Path) -> list:
@@ -330,9 +332,9 @@ def cmd_eval(args) -> int:
     rows, missing = [], []
     for pf in _list_images(fused_dir):
         stem = pf.stem.replace("_fused", "")
-        pa = next((a_dir / f"{stem}{ext}" for ext in (".png", ".pgm", ".ppm")
+        pa = next((a_dir / f"{stem}{ext}" for ext in _IMAGE_SUFFIXES
                    if (a_dir / f"{stem}{ext}").exists()), None)
-        pb = next((b_dir / f"{stem}{ext}" for ext in (".png", ".pgm", ".ppm")
+        pb = next((b_dir / f"{stem}{ext}" for ext in _IMAGE_SUFFIXES
                    if (b_dir / f"{stem}{ext}").exists()), None)
         if pa is None or pb is None:
             missing.append(pf.name)

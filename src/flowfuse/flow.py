@@ -146,12 +146,8 @@ class VelocityModel:
         if x_node.value.ndim != 2 or x_node.value.shape[1] != dim:
             raise ValueError(f"trace expects a (batch, {dim}) node, got {x_node.value.shape}")
         b = x_node.value.shape[0]
-        tcol = ad.constant(np.broadcast_to(
-            np.asarray(t, dtype=np.float64).reshape(-1, 1), (b, 1)).copy())
-        # feature concat [x | t] expressed with matmuls, keeping the primitive set closed
-        eye_x = ad.constant(np.concatenate([np.eye(dim), np.zeros((dim, 1))], axis=1))
-        pad_t = ad.constant(np.concatenate([np.zeros((1, dim)), np.eye(1)], axis=1))
-        h = ad.matmul(x_node, eye_x) + ad.matmul(tcol, pad_t)
+        tcol = ad.constant(np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (b, 1)))
+        h = ad.concat_cols(x_node, tcol)
         n_layers = len(self.meta["hidden"]) + 1
         get = (lambda k: param_nodes[k]) if param_nodes is not None else (
             lambda k: ad.constant(self.params[k]))

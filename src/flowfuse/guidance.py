@@ -159,16 +159,19 @@ def measurement_target(f0_hat: np.ndarray, i, v, spec: GuidanceSpec) -> np.ndarr
 # -- likelihood gradient and guided velocity ----------------------------------------
 
 
-def likelihood_grad(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpec):
+def likelihood_grad(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpec,
+                    vhat=None):
     """rho(t) * grad_f || y - f0_hat(f) ||^2 with f0_hat = f - t * v(f, t).
 
     stop-grad treats the velocity as a constant (gradient 2 rho (f0_hat - y));
     full-vjp back-propagates through the velocity network. y is always held
-    constant with respect to f.
+    constant with respect to f. vhat, when given, must be model.evaluate(f_t, t);
+    it saves the caller's second forward pass.
     """
     f = as_array(f_t).astype(np.float64)
     rho_t = spec.rho_at(t)
-    vhat = model.evaluate(f, t)
+    if vhat is None:
+        vhat = model.evaluate(f, t)
     f0 = f - t * vhat
     y = measurement_target(f0, i, v, spec)
     if spec.grad_mode == "stop-grad":
@@ -207,5 +210,5 @@ def guided_velocity(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpe
     rho_t = spec.rho_at(t)
     if rho_t == 0.0:
         return base
-    lg = likelihood_grad(f, t, model, i, v, spec)
+    lg = likelihood_grad(f, t, model, i, v, spec, vhat=base)
     return base + lg / (1.0 + 2.0 * rho_t * dt)

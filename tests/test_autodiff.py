@@ -94,6 +94,20 @@ def test_matmul_gradients():
     assert rel_err(g[bn], nb).max() < 1e-6
 
 
+def test_concat_cols_gradients():
+    rng = np.random.default_rng(10)
+    w = rng.standard_normal((5, 2))  # mixes every column, so each slice is exercised
+    rep = ad.check_gradients(
+        lambda ns: ad.reduce_sum(ad.tanh(ad.matmul(ad.concat_cols(ns["a"], ns["b"]), w))),
+        {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((3, 1))},
+    )
+    assert rep.ok and rep.worst < 1e-8, str(rep)
+    assert np.array_equal(ad.concat_cols(np.ones((2, 3)), np.zeros((2, 1))).value,
+                          np.concatenate([np.ones((2, 3)), np.zeros((2, 1))], axis=1))
+    with pytest.raises(ValueError, match="row mismatch"):
+        ad.concat_cols(np.ones((2, 3)), np.ones((3, 1)))
+
+
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
 def test_conv2d_gradients(stride, pad):
     rng = np.random.default_rng(2)

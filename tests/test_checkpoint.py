@@ -52,3 +52,47 @@ def test_bad_magic_rejected(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(p)
+
+
+def _flow_tensors(tmp_path):
+    from flowfuse.checkpoint import save_flow_checkpoint
+    from flowfuse.flow import VelocityModel
+
+    model = VelocityModel.mlp(dim=6, hidden=(5, 4), seed=2)
+    p = tmp_path / "flow.rffz"
+    save_flow_checkpoint(p, model)
+    return model, p, load_checkpoint(p)
+
+
+def test_flow_checkpoint_roundtrip(tmp_path):
+    from flowfuse.checkpoint import load_flow_checkpoint
+
+    model, p, _ = _flow_tensors(tmp_path)
+    back = load_flow_checkpoint(p)
+    assert back.kind == "mlp" and back.meta == model.meta
+    assert back.params.names() == model.params.names()
+    for k in model.params.names():
+        assert np.array_equal(back.params[k], model.params[k]), k
+    x = np.random.default_rng(3).standard_normal((2, 6))
+    assert np.array_equal(back.evaluate(x, 0.4), model.evaluate(x, 0.4))
+
+
+def test_flow_checkpoint_missing_tensor_named(tmp_path):
+    from flowfuse.checkpoint import load_flow_checkpoint
+
+    _, p, tensors = _flow_tensors(tmp_path)
+    del tensors["flow.params.b1"]
+    save_checkpoint(p, tensors)
+    with pytest.raises(ValueError, match=r"flow\.rffz.*missing tensor flow\.params\.b1"):
+        load_flow_checkpoint(p)
+
+
+def test_flow_checkpoint_wrong_shape_named(tmp_path):
+    from flowfuse.checkpoint import load_flow_checkpoint
+
+    _, p, tensors = _flow_tensors(tmp_path)
+    tensors["flow.params.w0"] = tensors["flow.params.w0"][:-1]  # drops the t row
+    save_checkpoint(p, tensors)
+    with pytest.raises(ValueError,
+                       match=r"flow\.rffz.*flow\.params\.w0 has shape \(6, 5\), expected \(7, 5\)"):
+        load_flow_checkpoint(p)

@@ -142,6 +142,23 @@ def test_eval_reports_missing_counterparts(workspace, tmp_path, capsys):
     assert "zzzz" in err
 
 
+def test_eval_pairs_pnm_triples(workspace, tmp_path, capsys):
+    root, _, _ = workspace
+    from flowfuse.imgio import load_image, save_image
+
+    dirs = {k: tmp_path / k for k in ("fused", "A", "B")}
+    for d in dirs.values():
+        d.mkdir()
+    save_image(dirs["fused"] / "0000_fused.pnm", load_image(root / "data" / "A" / "0000.png"))
+    for side in ("A", "B"):
+        save_image(dirs[side] / "0000.pnm", load_image(root / "data" / side / "0000.png"))
+    evout = tmp_path / "ev"
+    assert main(["--out", str(evout), "eval", "--fused", str(dirs["fused"]),
+                 "--src-a", str(dirs["A"]), "--src-b", str(dirs["B"])]) == 0
+    assert "without counterparts" not in capsys.readouterr().err
+    assert len((evout / "metrics.csv").read_text().splitlines()) == 1 + 1 + 1
+
+
 def test_bench_table(workspace, tmp_path):
     _, cfgfile, run = workspace
     out = tmp_path / "bench"

@@ -114,9 +114,43 @@ class TestRfLoss:
 
         model = VelocityModel.mlp(dim=3, hidden=(5, 4), seed=4)
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((7, 3))
-        traced = model.trace(ad.constant(x), 0.37).value
-        assert np.array_equal(traced, model.evaluate(x, 0.37))
+        for batch in (7, 1):
+            x = rng.standard_normal((batch, 3))
+            traced = model.trace(ad.constant(x), 0.37).value
+            assert np.array_equal(traced, model.evaluate(x, 0.37)), batch
+
+    def test_mlp_loss_and_grads_match_identity_matmul_feature(self):
+        # reference: the [x | t] feature built as x @ [I | 0] + t @ [0 | 1], the
+        # form the column concat replaced; both must give the same bits
+        import flowfuse.autodiff as ad
+
+        def identity_trace(model, x_node, t, param_nodes):
+            b, dim = x_node.value.shape
+            tcol = ad.constant(np.asarray(t, dtype=np.float64).reshape(b, 1))
+            eye_x = ad.constant(np.concatenate([np.eye(dim), np.zeros((dim, 1))], axis=1))
+            pad_t = ad.constant(np.concatenate([np.zeros((1, dim)), np.eye(1)], axis=1))
+            h = ad.matmul(x_node, eye_x) + ad.matmul(tcol, pad_t)
+            n_layers = len(model.meta["hidden"]) + 1
+            for i in range(n_layers):
+                h = ad.matmul(h, param_nodes[f"w{i}"]) + param_nodes[f"b{i}"]
+                if i < n_layers - 1:
+                    h = ad.leaky_relu(h, model.meta["alpha"])
+            return h
+
+        model = VelocityModel.mlp(dim=48, hidden=(32, 32), seed=6)
+        rng = np.random.default_rng(6)
+        x0, eps = rng.standard_normal((16, 48)), rng.standard_normal((16, 48))
+        t = rng.uniform(0.0, 0.99, 16)
+        loss, grads = rf_loss(model, x0, eps, t)
+
+        param_nodes = {k: ad.leaf(model.params[k]) for k in model.params.names()}
+        xt = (1.0 - t)[:, None] * x0 + t[:, None] * eps
+        diff = identity_trace(model, ad.constant(xt), t, param_nodes) - ad.constant(eps - x0)
+        ref = ad.reduce_mean(diff * diff)
+        ref_grads = ad.backward(ref, list(param_nodes.values()))
+        assert loss == float(ref.value)
+        for k, n in param_nodes.items():
+            assert np.array_equal(grads[k], ref_grads[n]), k
 
 
 class TestEulerSample:

@@ -161,8 +161,49 @@ class TestLikelihoodGrad:
                             rng.random((4, 4)), rng.random((4, 4)), spec)
         assert np.all(np.isfinite(g))
 
+    def test_full_vjp_memory_linear_in_latent_size(self):
+        # 4x32x32 latent: a dim x (dim + 1) float64 matrix alone would be 128 MiB
+        import tracemalloc
+
+        rng = np.random.default_rng(21)
+        model = VelocityModel.mlp(dim=4096, hidden=(128, 128), seed=21)
+        f = rng.standard_normal((4, 32, 32))
+        i, v = rng.standard_normal((4, 32, 32)), rng.standard_normal((4, 32, 32))
+        spec = GuidanceSpec(rho=0.5, grad_mode="full-vjp")
+        tracemalloc.start()
+        try:
+            g = likelihood_grad(f, 1.0, model, i, v, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.shape == f.shape
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestGuidedVelocity:
+    @pytest.mark.parametrize("grad_mode", ["stop-grad", "full-vjp"])
+    def test_evaluates_the_model_once_per_step(self, grad_mode, monkeypatch):
+        rng = np.random.default_rng(22)
+        model = VelocityModel.mlp(dim=64, hidden=(16,), seed=22)
+        f1 = rng.standard_normal((4, 4, 4))
+        i, v = rng.standard_normal((4, 4, 4)), rng.standard_normal((4, 4, 4))
+        spec = GuidanceSpec(rho=0.5, grad_mode=grad_mode)
+        t, dt = 0.75, 0.25
+        want = model.evaluate(f1, t) + likelihood_grad(f1, t, model, i, v, spec) / (
+            1.0 + 2.0 * spec.rho * dt)
+        calls = []
+        evaluate = VelocityModel.evaluate
+
+        def counted(self, x, t):
+            calls.append(t)
+            return evaluate(self, x, t)
+
+        monkeypatch.setattr(VelocityModel, "evaluate", counted)
+        assert np.array_equal(guided_velocity(f1, t, model, i, v, spec, dt=dt), want)
+        assert calls == [t]
+        calls.clear()
+        euler_sample(model, f1, SampleSchedule.uniform(3), spec, (i, v))
+        assert len(calls) == 3
     def test_rho_zero_is_exactly_the_raw_field(self):
         model = VelocityModel.constant(1.5)
         rng = np.random.default_rng(13)
