@@ -2,8 +2,9 @@
 
 Submodules:
     tensor     strict dense tensors (real64 / complex128)
-    fft        radix-2 2-D FFT, shift, adjoint
-    image      Image type, Sobel, histograms, blur, BT.601 conversion
+    fft        2-D DFT on np.fft with power-of-two padding, adjoint
+    image      Image type, histograms, Gaussian windows and blur,
+               valid correlation, BT.601 conversion
     imgio      PNG and PGM/PPM 8-bit readers/writers
     autodiff   reverse-mode tape over a fixed primitive set
     optim      ParamSet and Adam

@@ -163,7 +163,9 @@ def matmul(a, b) -> Node:
     return Node(
         a.value @ b.value,
         (a, b),
-        lambda g: (g @ b.value.T, a.value.T @ g),
+        # no product for an operand that takes no gradient (backward skips None)
+        lambda g: (g @ b.value.T if a.requires_grad else None,
+                   a.value.T @ g if b.requires_grad else None),
         op="matmul",
     )
 
@@ -376,12 +378,17 @@ def complex_magnitude(z) -> Node:
 
 
 def minmax_normalize(x) -> Node:
-    """(x - min) / (max - min) over the whole array; all-zeros when min == max."""
+    """(x - min) / (max - min) over the whole array.
+
+    A range within rounding of the values (at most 64 ulps of the larger
+    bound's magnitude) counts as constant and gives all zeros: normalizing
+    rounding noise would spread it over the full [0, 1] range.
+    """
     x = _wrap(x)
     v = x.value
     lo, hi = v.min(), v.max()
     r = hi - lo
-    if r == 0.0:
+    if r <= 64 * np.finfo(np.float64).eps * max(abs(lo), abs(hi)):
         return Node(np.zeros_like(v), (x,), lambda g: (np.zeros_like(v),), op="minmax")
     y = (v - lo) / r
     imin, imax = int(v.argmin()), int(v.argmax())

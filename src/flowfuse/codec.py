@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .fft import fft2, fftshift
-from .image import Image, as_gray
+from .image import Image, as_gray, correlate_valid, gaussian_window
 from .guidance import WeightMaps, saliency_weights
 from .optim import ParamSet, adam_step
 from .tensor import Tensor, as_array
@@ -150,9 +149,8 @@ def decode(p: CodecParams, z) -> Image:
 
 
 def _log_spectrum_node(img_node: ad.Node) -> ad.Node:
-    """Min-max-normalized log(1 + |DFT|). The center shift is omitted on the
-    tape: both spectra are permuted identically, so the squared-difference
-    mean is unchanged (see freq_loss docstring)."""
+    """Min-max-normalized log(1 + |DFT|), without the center shift (see
+    freq_loss)."""
     return ad.minmax_normalize(ad.log1p(ad.complex_magnitude(ad.fft2(img_node))))
 
 
@@ -175,13 +173,6 @@ def freq_loss(x, xr) -> float:
     return float(_freq_loss_node(ad.constant(a), ad.constant(b)).value)
 
 
-def log_spectrum(x) -> np.ndarray:
-    """Reference spectrum view: normalized log1p magnitude, center-shifted."""
-    mag = np.log1p(np.abs(fftshift(fft2(_loss_gray(x))).data))
-    lo, hi = mag.min(), mag.max()
-    return np.zeros_like(mag) if hi == lo else (mag - lo) / (hi - lo)
-
-
 def _loss_gray(img) -> np.ndarray:
     if isinstance(img, Image) and img.channels == 3:
         return img.pixels.mean(axis=2)
@@ -199,21 +190,13 @@ _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
 
 
-def _gaussian_window(n: int, sigma: float) -> np.ndarray:
-    r = (n - 1) / 2.0
-    x = np.arange(n) - r
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    k2 = np.outer(k, k)
-    return k2 / k2.sum()
-
-
 def _ssim_node(a: ad.Node, b: ad.Node) -> ad.Node:
     """Mean local SSIM (11x11 Gaussian window, sigma 1.5, L = 1, valid mode)
     between (1, 1, H, W) nodes."""
     h, w = a.value.shape[-2:]
     if h < _SSIM_WIN or w < _SSIM_WIN:
         raise ValueError(f"SSIM needs at least {_SSIM_WIN}x{_SSIM_WIN} pixels, got {h}x{w}")
-    k = ad.constant(_gaussian_window(_SSIM_WIN, _SSIM_SIGMA)[None, None])
+    k = ad.constant(gaussian_window(_SSIM_WIN, _SSIM_SIGMA)[None, None])
     mu_a = ad.conv2d(a, k)
     mu_b = ad.conv2d(b, k)
     var_a = ad.conv2d(a * a, k) - mu_a * mu_a
@@ -248,10 +231,9 @@ def _fusion_loss_nodes(f: ad.Node, i2: np.ndarray, v2: np.ndarray, w: LossWeight
         terms["ssim"] = two - _ssim_node(f, ad.constant(i4)) - _ssim_node(f, ad.constant(v4))
     if w.grad:
         gxf, gyf = _sobel_pair(f)
-        gxi, gyi = (np.abs(_conv_valid(i2, _SOBEL_X)), np.abs(_conv_valid(i2, _SOBEL_X.T)))
-        gxv, gyv = (np.abs(_conv_valid(v2, _SOBEL_X)), np.abs(_conv_valid(v2, _SOBEL_X.T)))
-        tx = ad.constant(np.maximum(gxi, gxv)[None, None])
-        ty = ad.constant(np.maximum(gyi, gyv)[None, None])
+        tx, ty = (ad.constant(np.maximum(np.abs(correlate_valid(i2, k)),
+                                         np.abs(correlate_valid(v2, k)))[None, None])
+                  for k in (_SOBEL_X, _SOBEL_X.T))
         gsum = ad.reduce_mean(ad.absolute(gxf - tx)) + ad.reduce_mean(ad.absolute(gyf - ty))
         terms["grad"] = gsum * 0.5
     if w.mask:
@@ -259,16 +241,6 @@ def _fusion_loss_nodes(f: ad.Node, i2: np.ndarray, v2: np.ndarray, w: LossWeight
         blend = np.clip(wm.w_v * v2 + wm.w_ir * i2, 0.0, 1.0)
         terms["mask"] = ad.reduce_mean(ad.absolute(ad.constant(blend[None, None]) - f))
     return terms
-
-
-def _conv_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    kh, kw = k.shape
-    h, w = a.shape
-    out = np.zeros((h - kh + 1, w - kw + 1))
-    for di in range(kh):
-        for dj in range(kw):
-            out += k[di, dj] * a[di : di + h - kh + 1, dj : dj + w - kw + 1]
-    return out
 
 
 def _chroma_l1(f, v) -> float:

@@ -15,14 +15,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes", "on"):
-        return True
-    if s.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 # key -> (parser, default, allowed values or None)
 SCHEMA = {
     "run.seed": (int, 0, None),
@@ -84,6 +76,20 @@ class Config:
         Path(path).write_text(self.dump())
 
 
+def _parse_value(key: str, val, where: str):
+    """Parse one value through its schema entry; errors name where and key."""
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    parser, _, allowed = SCHEMA[key]
+    try:
+        parsed = parser(val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+    if allowed is not None and parsed not in allowed:
+        raise ConfigError(f"{where}: {key} must be one of {allowed}, got {parsed!r}")
+    return parsed
+
+
 def parse_config(text: str | None = None, path=None, overrides: dict | None = None) -> Config:
     """Parse config text or a file, apply overrides, fill defaults."""
     values = {k: d for k, (_, d, _) in SCHEMA.items()}
@@ -97,21 +103,8 @@ def parse_config(text: str | None = None, path=None, overrides: dict | None = No
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            parser, _, allowed = SCHEMA[key]
-            try:
-                parsed = parser(val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-            if allowed is not None and parsed not in allowed:
-                raise ConfigError(
-                    f"line {lineno}: {key} must be one of {allowed}, got {parsed!r}"
-                )
-            values[key] = parsed
+            key = key.strip()
+            values[key] = _parse_value(key, val.strip(), f"line {lineno}")
     for key, val in (overrides or {}).items():
-        if key not in SCHEMA:
-            raise ConfigError(f"override: unknown key {key!r}")
-        values[key] = SCHEMA[key][0](val)
+        values[key] = _parse_value(key, val, f"override {key} = {val!r}")
     return Config(values)

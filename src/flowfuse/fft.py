@@ -1,19 +1,17 @@
-"""Radix-2 two-dimensional FFT with power-of-two padding.
+"""Two-dimensional DFT on numpy's FFT, with power-of-two padding and its adjoint.
 
-The transform follows the plain unnormalized DFT
-F(u, v) = sum_x sum_y I(x, y) exp(-2i*pi*u*x/H) exp(-2i*pi*v*y/W).
-Only power-of-two extents are transformed directly; other sizes are
-zero-padded up to the next power of two, so the spectrum always lives on the
-padded grid. The inverse crops back to the caller-supplied shape. The adjoint
-(conjugate-transposed) transform is exported for reverse-mode
+The transform is the plain unnormalized DFT
+F(u, v) = sum_x sum_y I(x, y) exp(-2i*pi*u*x/H) exp(-2i*pi*v*y/W)
+over the trailing two axes; leading axes are batch. Callers zero-pad the
+input up to the next power of two, so the spectrum always lives on the
+padded grid. The inverse is unnormalized too: callers divide by the grid size.
+The adjoint (conjugate-transposed) transform is exported for reverse-mode
 differentiation: the DFT is linear, so the adjoint is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .tensor import Tensor, as_array
 
 
 def next_pow2(n: int) -> int:
@@ -23,37 +21,6 @@ def next_pow2(n: int) -> int:
     while p < n:
         p *= 2
     return p
-
-
-def _bitrev_indices(n: int) -> np.ndarray:
-    idx = np.zeros(n, dtype=np.intp)
-    bits = n.bit_length() - 1
-    for i in range(n):
-        r = 0
-        x = i
-        for _ in range(bits):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        idx[i] = r
-    return idx
-
-
-def _fft_lastaxis(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Iterative Cooley-Tukey along the last axis; n must be a power of two."""
-    n = a.shape[-1]
-    out = np.ascontiguousarray(a[..., _bitrev_indices(n)], dtype=np.complex128)
-    m = 2
-    sign = 2j if inverse else -2j
-    while m <= n:
-        half = m // 2
-        w = np.exp(sign * np.pi * np.arange(half) / m)
-        out = out.reshape(out.shape[:-1] + (n // m, m))
-        even = out[..., :half]
-        odd = out[..., half:] * w
-        out = np.concatenate([even + odd, even - odd], axis=-1)
-        out = out.reshape(out.shape[:-2] + (n,))
-        m *= 2
-    return out
 
 
 def _pad_pow2(a: np.ndarray) -> np.ndarray:
@@ -68,57 +35,11 @@ def _pad_pow2(a: np.ndarray) -> np.ndarray:
 
 
 def _fft2_raw(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Transform the trailing two axes; leading axes are batch."""
-    out = _fft_lastaxis(a, inverse)
-    out = np.swapaxes(_fft_lastaxis(np.swapaxes(out, -1, -2), inverse), -1, -2)
-    return out
-
-
-def fft2(img) -> Tensor:
-    """Forward 2-D DFT of a real or complex H x W tensor.
-
-    Non-power-of-two inputs are zero-padded up to the next power of two and
-    the spectrum of the padded grid is returned.
-    """
-    a = as_array(img)
-    if a.ndim != 2:
-        raise ValueError(f"fft2 expects a 2-D tensor, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        bad = int(np.count_nonzero(~np.isfinite(a)))
-        raise ValueError(f"fft2 input contains {bad} non-finite value(s)")
-    return Tensor(_fft2_raw(_pad_pow2(a.astype(np.complex128)), inverse=False))
-
-
-def ifft2(spec, crop=None) -> Tensor:
-    """Inverse 2-D DFT; extents must be powers of two (as fft2 emits).
-
-    crop, when given, trims the spatial result back to the original
-    pre-padding shape.
-    """
-    a = as_array(spec)
-    if a.ndim != 2:
-        raise ValueError(f"ifft2 expects a 2-D tensor, got shape {a.shape}")
-    h, w = a.shape
-    if next_pow2(h) != h or next_pow2(w) != w:
-        raise ValueError(f"ifft2 extents must be powers of two, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("ifft2 input contains non-finite values")
-    out = _fft2_raw(a.astype(np.complex128), inverse=True) / (h * w)
-    if crop is not None:
-        ch, cw = crop
-        out = out[:ch, :cw]
-    return Tensor(out)
-
-
-def fftshift(spec) -> Tensor:
-    """Move the DC bin to (H/2, W/2). Extents must be even; involutive then."""
-    a = as_array(spec)
-    if a.ndim != 2:
-        raise ValueError(f"fftshift expects a 2-D tensor, got shape {a.shape}")
-    h, w = a.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"fftshift requires even extents, got {a.shape}")
-    return Tensor(np.roll(np.roll(a, h // 2, axis=0), w // 2, axis=1))
+    """Unnormalized DFT of the trailing two axes; inverse flips the sign of
+    the exponent and does not divide by the grid size."""
+    if inverse:
+        return np.fft.ifft2(a, norm="forward")
+    return np.fft.fft2(a)
 
 
 def fft2_adjoint(g: np.ndarray, crop=None) -> np.ndarray:
@@ -127,8 +48,7 @@ def fft2_adjoint(g: np.ndarray, crop=None) -> np.ndarray:
     Used by the autodiff tape; for a real primal input the real part of the
     result is the gradient. Operates on the trailing two axes.
     """
-    a = np.asarray(g, dtype=np.complex128)
-    out = np.conj(_fft2_raw(np.conj(a), inverse=False))
+    out = _fft2_raw(np.asarray(g, dtype=np.complex128), inverse=True)
     if crop is not None:
         out = out[..., : crop[-2], : crop[-1]]
     return out

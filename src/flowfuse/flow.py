@@ -158,33 +158,7 @@ class VelocityModel:
         return h
 
 
-# -- straight-path algebra ----------------------------------------------------------
-
-
-def interpolate(x0, eps, t: float) -> Tensor:
-    """(1 - t) * x0 + t * eps along the straight path."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    a, b = as_array(x0), as_array(eps)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor((1.0 - t) * a + t * b)
-
-
-def velocity_target(x0, eps) -> Tensor:
-    """eps - x0: the path velocity, constant in t."""
-    a, b = as_array(x0), as_array(eps)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(b - a)
-
-
-def estimate_f0(f_t, vhat, t: float) -> Tensor:
-    """Clean-endpoint estimate f_t - t * v, exact on straight paths."""
-    a, b = as_array(f_t), as_array(vhat)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(a - t * b)
+# -- analytic Gaussian oracle ------------------------------------------------------
 
 
 def _gaussian_velocity(mu0: float, sigma0: float, x: np.ndarray, t: float) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Image type and pixel-domain primitives: Sobel gradients, histograms,
-Gaussian blur, BT.601 color conversion.
+"""Image type and pixel-domain primitives: histograms, Gaussian windows and
+blur, valid-mode correlation, BT.601 color conversion.
 
 Pixel values live in [0, 1] float64 everywhere; 8-bit I/O converts by /255
 and round(*255) at the file boundary (see imgio). Color images carry an
@@ -9,8 +9,6 @@ explicit color-space tag.
 from __future__ import annotations
 
 import numpy as np
-
-from .tensor import Tensor
 
 GRAY = "gray"
 RGB = "rgb"
@@ -88,32 +86,6 @@ def luma(img) -> np.ndarray:
     return as_gray(img)
 
 
-# -- Sobel --------------------------------------------------------------------
-
-def replicate_pad(a: np.ndarray, k: int) -> np.ndarray:
-    return np.pad(a, k, mode="edge")
-
-
-def sobel_grad(img):
-    """3x3 Sobel responses (gx: horizontal, gy: vertical) and their magnitude.
-
-    Borders are replicate-padded. gx responds to left-to-right intensity
-    increase, gy to top-to-bottom. Differences are taken before the smoothing
-    sum so constant images give exactly zero.
-    """
-    a = as_gray(img)
-    h, w = a.shape
-    if h < 3 or w < 3:
-        raise ValueError(f"sobel_grad needs at least 3x3 pixels, got {a.shape}")
-    p = replicate_pad(a, 1)
-    dx = p[:, 2:] - p[:, :-2]  # (h+2, w)
-    gx = dx[:-2, :] + 2.0 * dx[1:-1, :] + dx[2:, :]
-    dy = p[2:, :] - p[:-2, :]  # (h, w+2)
-    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
-    mag = np.sqrt(gx * gx + gy * gy)
-    return Tensor(gx), Tensor(gy), Tensor(mag)
-
-
 # -- histogram ------------------------------------------------------------------
 
 def histogram256(img) -> np.ndarray:
@@ -129,15 +101,33 @@ def histogram256(img) -> np.ndarray:
     return counts / a.size
 
 
-# -- Gaussian blur --------------------------------------------------------------
+# -- Gaussian windows, blur and correlation ------------------------------------
+
+def _gaussian(n: int, sigma: float) -> np.ndarray:
+    """n unnormalized Gaussian samples centred on the middle one."""
+    x = np.arange(n) - (n - 1) / 2.0
+    return np.exp(-0.5 * (x / sigma) ** 2)
+
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
+    """1-D Gaussian kernel truncated at 3 sigma, normalized to sum 1."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    radius = int(np.ceil(3.0 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
+    k = _gaussian(2 * int(np.ceil(3.0 * sigma)) + 1, sigma)
     return k / k.sum()
+
+
+def gaussian_window(n: int, sigma: float) -> np.ndarray:
+    """n x n Gaussian window, normalized to sum 1 (the SSIM and VIF window)."""
+    k = _gaussian(n, sigma)
+    k2 = np.outer(k, k)
+    return k2 / k2.sum()
+
+
+def correlate_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """2-D cross-correlation of a with k at the positions where k fits whole."""
+    win = np.lib.stride_tricks.sliding_window_view(a, k.shape)
+    return np.einsum("ijkl,kl->ij", win, k)
 
 
 def gaussian_blur(img, sigma: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import _fft2_raw, _pad_pow2
-from .image import as_gray, histogram256
+from .image import as_gray, correlate_valid, gaussian_window, histogram256
 
 _COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
@@ -91,28 +91,11 @@ def sf_ag(x) -> tuple:
 # -- SSIM / PSNR -----------------------------------------------------------------------
 
 
-def _gauss2d(n: int, sigma: float) -> np.ndarray:
-    r = (n - 1) / 2.0
-    x = np.arange(n) - r
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    k2 = np.outer(k, k)
-    return k2 / k2.sum()
-
-
-def _conv_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    kh, kw = k.shape
-    h, w = a.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    s0, s1 = a.strides
-    win = np.lib.stride_tricks.as_strided(a, (oh, ow, kh, kw), (s0, s1, s0, s1))
-    return np.einsum("ijkl,kl->ij", win, k)
-
-
 def _conv_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     kh, kw = k.shape
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     padded = np.pad(a, ((pt, kh - 1 - pt), (pl, kw - 1 - pl)))
-    return _conv_valid(padded, k)
+    return correlate_valid(padded, k)
 
 
 def ssim_psnr(f, s) -> tuple:
@@ -122,13 +105,13 @@ def ssim_psnr(f, s) -> tuple:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if min(a.shape) < 11:
         raise ValueError("SSIM needs at least 11x11 pixels")
-    win = _gauss2d(11, 1.5)
+    win = gaussian_window(11, 1.5)
     c1, c2 = 0.01**2, 0.03**2
-    mu_a = _conv_valid(a, win)
-    mu_b = _conv_valid(b, win)
-    var_a = np.maximum(_conv_valid(a * a, win) - mu_a * mu_a, 0.0)
-    var_b = np.maximum(_conv_valid(b * b, win) - mu_b * mu_b, 0.0)
-    cov = _conv_valid(a * b, win) - mu_a * mu_b
+    mu_a = correlate_valid(a, win)
+    mu_b = correlate_valid(b, win)
+    var_a = np.maximum(correlate_valid(a * a, win) - mu_a * mu_a, 0.0)
+    var_b = np.maximum(correlate_valid(b * b, win) - mu_b * mu_b, 0.0)
+    cov = correlate_valid(a * b, win) - mu_a * mu_b
     ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
@@ -151,7 +134,7 @@ def vif_pair(ref, dist) -> float:
     num = den = 0.0
     for scale in range(1, 5):
         n = 2 ** (4 - scale + 1) + 1
-        win = _gauss2d(n, n / 5.0)
+        win = gaussian_window(n, n / 5.0)
         if scale > 1:
             a = _conv_same(a, win)[::2, ::2]
             b = _conv_same(b, win)[::2, ::2]

@@ -94,6 +94,20 @@ def test_matmul_gradients():
     assert rel_err(g[bn], nb).max() < 1e-6
 
 
+def test_matmul_skips_the_gradient_of_a_constant_operand():
+    rng = np.random.default_rng(12)
+    a0, b0 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    g = rng.standard_normal((3, 2))
+    ga, gb = ad.matmul(ad.leaf(a0), ad.constant(b0)).vjp(g)
+    assert gb is None and np.array_equal(ga, g @ b0.T)
+    ga, gb = ad.matmul(ad.constant(a0), ad.leaf(b0)).vjp(g)
+    assert ga is None and np.array_equal(gb, a0.T @ g)
+    # through backward the leaf's gradient is the same product, bit for bit
+    an = ad.leaf(a0)
+    out = ad.reduce_sum(ad.matmul(an, ad.constant(b0)))
+    assert np.array_equal(ad.backward(out, [an])[an], np.ones((3, 2)) @ b0.T)
+
+
 def test_concat_cols_gradients():
     rng = np.random.default_rng(10)
     w = rng.standard_normal((5, 2))  # mixes every column, so each slice is exercised

@@ -82,18 +82,19 @@ class TestFreqLoss:
         for _ in range(5):
             assert freq_loss(rng.random((4, 8)), rng.random((4, 8))) >= 0.0
 
-    def test_delta_vs_constant_matches_hand_derivation(self):
-        # step-by-step closed form on 8x8:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_delta_vs_constant_matches_hand_derivation(self, n):
+        # step-by-step closed form on n x n:
         #   delta: |DFT| == 1 in every bin (single unit-magnitude term per bin)
-        #          -> log map constant -> min == max -> normalized to all zeros
-        #   const c: spectrum 64c at DC, 0 elsewhere -> log map log1p(64c) at the
-        #          center bin after the shift -> normalizes to 1 there, 0 elsewhere
-        #   loss = mean((0 - N_const)^2) = 1 / 64
-        delta = np.zeros((8, 8))
+        #          -> log map constant up to rounding -> normalized to all zeros
+        #   const c: spectrum n^2 c at DC, 0 elsewhere -> log map log1p(n^2 c) at
+        #          the center bin after the shift -> normalizes to 1 there, 0 elsewhere
+        #   loss = mean((0 - N_const)^2) = 1 / n^2
+        delta = np.zeros((n, n))
         delta[2, 5] = 1.0
-        const = np.full((8, 8), 0.3)
+        const = np.full((n, n), 0.3)
         got = freq_loss(delta, const)
-        assert abs(got - 1.0 / 64.0) < 1e-12
+        assert abs(got - 1.0 / n**2) < 1e-12
 
     def test_random_pair_matches_naive_dft_oracle(self):
         # well-conditioned spectra: naive-DFT straight-line evaluation of the

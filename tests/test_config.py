@@ -52,3 +52,13 @@ def test_hidden_pair_parser():
     assert cfg.hidden_pair("codec.hidden") == (8, 16)
     with pytest.raises(ConfigError):
         parse_config("codec.hidden = 8\n").hidden_pair("codec.hidden")
+
+
+def test_override_choice_validation_names_key():
+    with pytest.raises(ConfigError, match="override flow.start.*one of"):
+        parse_config(overrides={"flow.start": "sideways"})
+
+
+def test_override_bad_value_names_key():
+    with pytest.raises(ConfigError, match="override flow.steps = 'abc'.*bad value for flow.steps"):
+        parse_config(overrides={"flow.steps": "abc"})

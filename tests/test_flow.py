@@ -5,12 +5,29 @@ from flowfuse.flow import (
     SampleSchedule,
     VelocityModel,
     analytic_gaussian_velocity,
-    estimate_f0,
     euler_sample,
-    interpolate,
     rf_loss,
-    velocity_target,
 )
+from flowfuse.guidance import GuidanceSpec, WeightMaps, likelihood_grad
+
+
+def mlp_rf_loss(x0, eps, t):
+    """rf_loss of a small MLP, and the MLP itself for direct evaluation."""
+    model = VelocityModel.mlp(dim=x0.shape[1], hidden=(8,), seed=11)
+    return rf_loss(model, x0, eps, np.asarray(t, dtype=np.float64))[0], model
+
+
+def estimate_f0(f_t, vhat, t):
+    """The clean-endpoint estimate f_t - t * vhat as likelihood_grad forms it:
+    with y = 0 and rho = 0.5 the stop-grad gradient 2 rho (f0_hat - y) is
+    f0_hat itself."""
+    f = np.atleast_2d(np.asarray(f_t, dtype=np.float64))
+    zeros = np.zeros_like(f)
+    spec = GuidanceSpec(rho=0.5, grad_mode="stop-grad",
+                        weight_maps=WeightMaps(np.ones_like(f), zeros))
+    vhat = np.atleast_2d(np.asarray(vhat, dtype=np.float64))
+    return likelihood_grad(f, t, VelocityModel.constant(0.0), zeros, zeros, spec,
+                           vhat=vhat).ravel()
 
 
 class TestSchedule:
@@ -29,51 +46,67 @@ class TestSchedule:
 
 
 class TestInterpolate:
+    """rf_loss evaluates the field on x_t = (1 - t) x0 + t eps."""
+
     def test_endpoints(self):
-        x0 = np.array([1.0, 2.0])
-        eps = np.array([-1.0, 0.5])
-        assert np.array_equal(interpolate(x0, eps, 0.0).data, x0)
-        assert np.array_equal(interpolate(x0, eps, 1.0).data, eps)
+        rng = np.random.default_rng(0)
+        x0, eps = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        loss, model = mlp_rf_loss(x0, eps, np.zeros(3))
+        want = np.mean((model.evaluate(x0, 0.0) - (eps - x0)) ** 2)
+        assert abs(loss - want) <= 1e-12 * want
 
     def test_midpoint(self):
-        assert interpolate(np.array([0.0]), np.array([2.0]), 0.5).data[0] == 1.0
+        rng = np.random.default_rng(1)
+        x0, eps = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        loss, model = mlp_rf_loss(x0, eps, np.full(3, 0.5))
+        want = np.mean((model.evaluate(0.5 * (x0 + eps), 0.5) - (eps - x0)) ** 2)
+        assert abs(loss - want) <= 1e-12 * want
 
     def test_t_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate(np.zeros(2), np.zeros(2), 1.5)
+        for t in (1.5, -0.5):
+            with pytest.raises(ValueError):
+                mlp_rf_loss(np.zeros((1, 2)), np.zeros((1, 2)), [t])
 
 
 class TestVelocityTarget:
+    """rf_loss regresses onto the path velocity eps - x0, constant in t."""
+
     def test_basic_and_degenerate(self):
-        assert velocity_target(np.array([0.0]), np.array([1.0])).data[0] == 1.0
-        x = np.array([0.3, -0.2])
-        assert velocity_target(x, x).max_abs() == 0.0
+        one = rf_loss(VelocityModel.constant(1.0), np.zeros((1, 1)), np.ones((1, 1)), [0.3])
+        assert one == (0.0, {})
+        x = np.array([[0.3, -0.2]])
+        assert rf_loss(VelocityModel.constant(0.0), x, x, [0.7]) == (0.0, {})
 
     def test_consistent_with_interpolation_algebra(self):
+        # the target equals (eps - x_t) / (1 - t) at every t
         rng = np.random.default_rng(0)
-        x0, eps = rng.standard_normal(5), rng.standard_normal(5)
-        t = 0.3
-        xt = interpolate(x0, eps, t).data
-        lhs = (eps - xt) / (1.0 - t)
-        assert np.abs(lhs - velocity_target(x0, eps).data).max() < 1e-12
+        x0, eps = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+        t = np.array([0.0, 0.3, 0.6, 0.9])
+        model = VelocityModel.analytic_gaussian(0.2, 0.7)
+        xt = (1.0 - t)[:, None] * x0 + t[:, None] * eps
+        v = np.stack([model.evaluate(xt[k], float(t[k])) for k in range(4)])
+        want = np.mean((v - (eps - xt) / (1.0 - t)[:, None]) ** 2)
+        assert abs(rf_loss(model, x0, eps, t)[0] - want) <= 1e-12 * want
 
 
 class TestEstimateF0:
+    """likelihood_grad's clean-endpoint estimate f0_hat = f_t - t * v."""
+
     def test_t_zero_identity(self):
         f = np.array([0.4, 0.6])
-        assert np.array_equal(estimate_f0(f, np.ones(2), 0.0).data, f)
+        assert np.array_equal(estimate_f0(f, np.ones(2), 0.0), f)
 
     def test_worked_example(self):
         # x0 = 3, eps = 1, t = 0.5 -> f_t = 2, v = -2 -> estimate 3
-        assert estimate_f0(np.array([2.0]), np.array([-2.0]), 0.5).data[0] == 3.0
+        assert estimate_f0(np.array([2.0]), np.array([-2.0]), 0.5)[0] == 3.0
 
     def test_recovers_x0_with_exact_velocity(self):
         rng = np.random.default_rng(1)
         x0, eps = rng.standard_normal(8), rng.standard_normal(8)
-        v = velocity_target(x0, eps).data
+        v = eps - x0
         for t in np.arange(0.1, 0.95, 0.1):
-            ft = interpolate(x0, eps, float(t)).data
-            assert np.abs(estimate_f0(ft, v, float(t)).data - x0).max() < 1e-12
+            ft = (1.0 - t) * x0 + t * eps
+            assert np.abs(estimate_f0(ft, v, float(t)) - x0).max() < 1e-12
 
 
 class TestRfLoss:

@@ -3,29 +3,29 @@ import pytest
 
 from flowfuse.image import (
     Image,
+    correlate_valid,
     gaussian_blur,
+    gaussian_kernel1d,
+    gaussian_window,
     histogram256,
     luma,
     rgb_ycbcr,
-    sobel_grad,
 )
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
 
 
-def sobel_oracle(a, kern):
-    """Direct nested-loop cross-correlation with replicate borders."""
-    h, w = a.shape
-    out = np.zeros_like(a)
-    for i in range(h):
-        for j in range(w):
+def correlation_oracle(a, kern):
+    """Direct nested-loop cross-correlation over the positions where kern fits."""
+    kh, kw = kern.shape
+    out = np.zeros((a.shape[0] - kh + 1, a.shape[1] - kw + 1))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
             acc = 0.0
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ii = min(max(i + di, 0), h - 1)
-                    jj = min(max(j + dj, 0), w - 1)
-                    acc += kern[di + 1, dj + 1] * a[ii, jj]
+            for di in range(kh):
+                for dj in range(kw):
+                    acc += kern[di, dj] * a[i + di, j + dj]
             out[i, j] = acc
     return out
 
@@ -51,33 +51,37 @@ class TestImageType:
 
 
 class TestSobel:
+    """The valid-mode Sobel of the codec's gradient loss: correlate_valid with
+    the 3x3 Sobel kernels."""
+
     def test_constant_image_gives_zero_everywhere(self):
-        gx, gy, mag = sobel_grad(np.full((5, 5), 0.4))
-        assert gx.max_abs() == 0 and gy.max_abs() == 0 and mag.max_abs() == 0
+        a = np.full((5, 5), 0.4)
+        for k in (SOBEL_X, SOBEL_Y):
+            assert np.all(correlate_valid(a, k) == 0)
 
     def test_vertical_step_edge(self):
         a = np.zeros((5, 6))
         a[:, 3:] = 1.0
-        gx, gy, _ = sobel_grad(a)
-        assert gy.max_abs() == 0
-        assert np.all(gx.data[:, 2:4] > 0)  # peaks on the edge columns
-        assert np.all(gx.data[:, 0] == 0)
+        gx, gy = correlate_valid(a, SOBEL_X), correlate_valid(a, SOBEL_Y)
+        assert gx.shape == gy.shape == (3, 4)
+        assert np.all(gy == 0)
+        assert np.all(gx[:, 1:3] == 4.0)  # windows centred on the edge columns
+        assert np.all(gx[:, [0, 3]] == 0)
 
     def test_matches_direct_convolution_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.random((5, 5))
-        gx, gy, mag = sobel_grad(a)
-        ox = sobel_oracle(a, SOBEL_X)
-        oy = sobel_oracle(a, SOBEL_Y)
-        assert np.abs(gx.data - ox).max() < 1e-12
-        assert np.abs(gy.data - oy).max() < 1e-12
-        assert np.abs(mag.data - np.sqrt(ox**2 + oy**2)).max() < 1e-12
+        for k in (SOBEL_X, SOBEL_Y):
+            assert np.abs(correlate_valid(a, k) - correlation_oracle(a, k)).max() < 1e-12
+        b = rng.random((16, 13))
+        win = gaussian_window(11, 1.5)
+        assert np.abs(correlate_valid(b, win) - correlation_oracle(b, win)).max() < 1e-12
 
     def test_rejects_color_and_tiny_images(self):
         with pytest.raises(ValueError):
-            sobel_grad(Image(np.zeros((4, 4, 3)), "rgb"))
+            correlate_valid(np.zeros((4, 4, 3)), SOBEL_X)
         with pytest.raises(ValueError):
-            sobel_grad(np.zeros((2, 5)))
+            correlate_valid(np.zeros((2, 5)), SOBEL_X)
 
 
 class TestHistogram:
@@ -134,6 +138,15 @@ class TestColorConversion:
 
 
 class TestBlur:
+    def test_windows_share_one_gaussian(self):
+        k = gaussian_kernel1d(1.5)
+        assert len(k) == 11 and abs(k.sum() - 1.0) < 1e-15
+        win = gaussian_window(11, 1.5)
+        assert abs(win.sum() - 1.0) < 1e-15
+        assert np.abs(win - np.outer(k, k)).max() < 1e-16
+        with pytest.raises(ValueError):
+            gaussian_kernel1d(0.0)
+
     def test_preserves_constants(self):
         out = gaussian_blur(np.full((8, 8), 0.6), sigma=2.0)
         assert np.abs(out - 0.6).max() < 1e-12
