@@ -233,9 +233,9 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
     def vjp(g):
         gmat = g.reshape(n, cout, oh * ow)
         dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.value.shape)
-        dcols = np.matmul(wmat.T, gmat)
-        dx = _col2im(dcols, x.value.shape, kh, kw, stride, pad)
-        return dx, dw
+        if not x.requires_grad:
+            return None, dw  # a constant input takes no gradient (backward skips None)
+        return _col2im(np.matmul(wmat.T, gmat), x.value.shape, kh, kw, stride, pad), dw
 
     return Node(out, (x, w), vjp, op="conv2d")
 

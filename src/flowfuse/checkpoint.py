@@ -17,6 +17,7 @@ Round-trips are bit-identical: payloads are the raw float64 buffers.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -129,34 +130,37 @@ def save_checkpoint(path, tensors: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a container back into {name: ndarray}; rejects version mismatch."""
+    """Read a container back into {name: ndarray}; rejects a version mismatch,
+    and a truncated file with the field it was reading."""
     blob = Path(path).read_bytes()
+    pos = 0
+
+    def take(size: int, what: str) -> int:
+        """Claim the next size bytes for what; returns their offset."""
+        nonlocal pos
+        if pos + size > len(blob):
+            raise ValueError(f"{path}: truncated at byte {len(blob)} while reading {what}")
+        pos += size
+        return pos - size
+
+    take(4, "the magic")
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint container (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack_from("<II", blob, take(8, "the version and tensor count"))
     if version != VERSION:
         raise ValueError(
             f"{path}: checkpoint version {version} not supported (expected {VERSION})"
         )
-    pos = 12
     out = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        tag, rank = struct.unpack_from("<BB", blob, pos)
-        pos += 2
-        shape = struct.unpack_from(f"<{rank}Q", blob, pos) if rank else ()
-        pos += 8 * rank
-        n = int(np.prod(shape)) if shape else 1
-        if tag == 1:
-            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).copy()
-            pos += 8 * n
-        elif tag == 2:
-            arr = np.frombuffer(blob, dtype="<c16", count=n, offset=pos).copy()
-            pos += 16 * n
-        else:
+    for i in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, take(4, f"tensor {i}'s name length"))
+        name = blob[take(name_len, f"tensor {i}'s name") : pos].decode("utf-8")
+        tag, rank = struct.unpack_from("<BB", blob, take(2, f"tensor {name!r}'s dtype and rank"))
+        shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"tensor {name!r}'s extents"))
+        if tag not in (1, 2):
             raise ValueError(f"{path}: unknown dtype tag {tag}")
-        out[name] = arr.reshape(shape)
+        dtype = np.dtype("<f8" if tag == 1 else "<c16")
+        n = math.prod(shape)
+        offset = take(dtype.itemsize * n, f"tensor {name!r}'s payload")
+        out[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=offset).copy().reshape(shape)
     return out

@@ -8,40 +8,59 @@ config next to its outputs.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     pass
 
 
-# key -> (parser, default, allowed values or None)
+class Bound(NamedTuple):
+    """Lower bound on a finite numeric value."""
+
+    low: float
+    strict: bool = False
+
+    def admits(self, v) -> bool:
+        return math.isfinite(v) and (v > self.low if self.strict else v >= self.low)
+
+    def __str__(self):
+        return f"a finite number {'>' if self.strict else '>='} {self.low:g}"
+
+
+_COUNT = Bound(1)  # steps, batch sizes, iterations
+_RATE = Bound(0.0, strict=True)  # learning rates
+_WEIGHT = Bound(0.0)  # guidance strength and loss weights
+
+# key -> (parser, default, allowed values, a Bound, or None)
 SCHEMA = {
     "run.seed": (int, 0, None),
     "run.out": (str, "out", None),
-    "flow.steps": (int, 1, None),
+    "flow.steps": (int, 1, _COUNT),
     "flow.start": (str, "visible", ("visible", "noise")),
     "flow.hidden": (str, "128,128", None),
-    "flow.train_steps": (int, 2000, None),
-    "flow.lr": (float, 1e-3, None),
-    "flow.batch": (int, 64, None),
+    "flow.train_steps": (int, 2000, _COUNT),
+    "flow.lr": (float, 1e-3, _RATE),
+    "flow.batch": (int, 64, _COUNT),
     "flow.data": (str, "latents", ("latents", "toy2d")),
     "flow.time_eps": (float, 1e-3, None),
-    "guidance.rho": (float, 0.5, None),
+    "guidance.rho": (float, 0.5, _WEIGHT),
     "guidance.schedule": (str, "constant", ("constant", "linear-decay")),
     "guidance.measurement": (str, "weighted-target", ("weighted-target", "em-prior")),
-    "guidance.em_iters": (int, 3, None),
+    "guidance.em_iters": (int, 3, _COUNT),
     "guidance.grad_mode": (str, "full-vjp", ("full-vjp", "stop-grad")),
     "codec.hidden": (str, "32,64", None),
-    "codec.lambda_fre": (float, 0.1, None),
-    "codec.lambda_int": (float, 1.0, None),
-    "codec.lambda_ssim": (float, 1.0, None),
-    "codec.lambda_grad": (float, 1.0, None),
-    "codec.lambda_color": (float, 0.5, None),
-    "codec.lambda_mask": (float, 1.0, None),
-    "codec.train_steps": (int, 500, None),
-    "codec.lr": (float, 1e-3, None),
-    "codec.batch": (int, 8, None),
+    "codec.lambda_fre": (float, 0.1, _WEIGHT),
+    "codec.lambda_int": (float, 1.0, _WEIGHT),
+    "codec.lambda_ssim": (float, 1.0, _WEIGHT),
+    "codec.lambda_grad": (float, 1.0, _WEIGHT),
+    "codec.lambda_color": (float, 0.5, _WEIGHT),
+    "codec.lambda_mask": (float, 1.0, _WEIGHT),
+    "codec.train_steps": (int, 500, _COUNT),
+    "codec.lr": (float, 1e-3, _RATE),
+    "codec.batch": (int, 8, _COUNT),
     "codec.resume": (str, "", None),
     "data.dir": (str, "", None),
     "data.kind": (str, "ivif", ("ivif", "mef", "mff")),
@@ -85,7 +104,10 @@ def _parse_value(key: str, val, where: str):
         parsed = parser(val)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-    if allowed is not None and parsed not in allowed:
+    if isinstance(allowed, Bound):
+        if not allowed.admits(parsed):
+            raise ConfigError(f"{where}: {key} must be {allowed}, got {parsed!r}")
+    elif allowed is not None and parsed not in allowed:
         raise ConfigError(f"{where}: {key} must be one of {allowed}, got {parsed!r}")
     return parsed
 

@@ -136,12 +136,7 @@ class VelocityModel:
         if self.kind == "constant":
             return ad.constant(np.full(x_node.value.shape, self.meta["c"])) + x_node * 0.0
         if self.kind == "analytic-gaussian":
-            t = float(t)
-            mu0, s0 = self.meta["mu0"], self.meta["sigma0"]
-            m = (1.0 - t) * mu0
-            s2 = (1.0 - t) ** 2 * s0 * s0 + t * t
-            coef = (t - (1.0 - t) * s0 * s0) / s2
-            return (x_node - m) * coef - mu0
+            return _gaussian_velocity(self.meta["mu0"], self.meta["sigma0"], x_node, float(t))
         dim = self.meta["dim"]
         if x_node.value.ndim != 2 or x_node.value.shape[1] != dim:
             raise ValueError(f"trace expects a (batch, {dim}) node, got {x_node.value.shape}")
@@ -161,7 +156,8 @@ class VelocityModel:
 # -- analytic Gaussian oracle ------------------------------------------------------
 
 
-def _gaussian_velocity(mu0: float, sigma0: float, x: np.ndarray, t: float) -> np.ndarray:
+def _gaussian_velocity(mu0: float, sigma0: float, x, t: float):
+    """The closed form of analytic_gaussian_velocity, on an array or a tape node."""
     m = (1.0 - t) * mu0
     s2 = (1.0 - t) ** 2 * sigma0 * sigma0 + t * t
     return (t - (1.0 - t) * sigma0 * sigma0) / s2 * (x - m) - mu0

@@ -1,5 +1,6 @@
 """Image type and pixel-domain primitives: histograms, Gaussian windows and
-blur, valid-mode correlation, BT.601 color conversion.
+blur, valid-mode correlation (2-D, and 1-D along an axis for separable
+filters), BT.601 color conversion.
 
 Pixel values live in [0, 1] float64 everywhere; 8-bit I/O converts by /255
 and round(*255) at the file boundary (see imgio). Color images carry an
@@ -130,15 +131,22 @@ def correlate_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,kl->ij", win, k)
 
 
+def correlate1d_valid(a: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    """1-D cross-correlation of the 2-D array a with k along axis, at the
+    positions where k fits whole; a Gaussian window runs as one pass per axis."""
+    win = np.lib.stride_tricks.sliding_window_view(a, len(k), axis=axis)
+    # Stack over the output positions along axis: each stacked matrix then
+    # pairs the other axis with the window, which BLAS reads in place.
+    return (win.swapaxes(0, axis) @ k).swapaxes(0, axis)
+
+
 def gaussian_blur(img, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, replicate padding, kernel truncated at 3 sigma."""
     a = as_gray(img)
     k = gaussian_kernel1d(sigma)
     r = (len(k) - 1) // 2
-    p = np.pad(a, ((r, r), (0, 0)), mode="edge")
-    rows = sum(k[i] * p[i : i + a.shape[0], :] for i in range(len(k)))
-    p = np.pad(rows, ((0, 0), (r, r)), mode="edge")
-    return sum(k[j] * p[:, j : j + a.shape[1]] for j in range(len(k)))
+    rows = correlate1d_valid(np.pad(a, ((r, r), (0, 0)), mode="edge"), k, axis=0)
+    return correlate1d_valid(np.pad(rows, ((0, 0), (r, r)), mode="edge"), k, axis=1)
 
 
 # -- color conversion ------------------------------------------------------------

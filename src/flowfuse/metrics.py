@@ -23,6 +23,12 @@ and locked by tests so numbers are comparable run-to-run):
           means), saturation masking t|C|^p / (h|C|^q + Z) with
           t = h = 1, p = 3, q = 2, Z = 1e-4, saliency weights from squared
           masked contrast, preservation = min/max contrast ratio.
+
+Every window above is a Gaussian, which is separable: SSIM and VIF filter
+with the normalized 1-D window once along rows and once along columns, and
+the Qcb local means use the image module's separable blur. The conventions
+listed (sizes, sigmas, valid or same mode, zero padding) hold as stated; only
+the order of the sums differs from a 2-D window.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import _fft2_raw, _pad_pow2
-from .image import as_gray, correlate_valid, gaussian_window, histogram256
+from .image import _gaussian, as_gray, correlate1d_valid, gaussian_blur, histogram256
 
 _COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
@@ -91,11 +97,20 @@ def sf_ag(x) -> tuple:
 # -- SSIM / PSNR -----------------------------------------------------------------------
 
 
+def _window(n: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D window; its outer product is the 2-D n x n window."""
+    k = _gaussian(n, sigma)
+    return k / k.sum()
+
+
+def _filter_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Valid-mode 2-D filtering with the separable window outer(k, k)."""
+    return correlate1d_valid(correlate1d_valid(a, k, axis=0), k, axis=1)
+
+
 def _conv_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    kh, kw = k.shape
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    padded = np.pad(a, ((pt, kh - 1 - pt), (pl, kw - 1 - pl)))
-    return correlate_valid(padded, k)
+    lo = (len(k) - 1) // 2
+    return _filter_valid(np.pad(a, (lo, len(k) - 1 - lo)), k)
 
 
 def ssim_psnr(f, s) -> tuple:
@@ -105,13 +120,13 @@ def ssim_psnr(f, s) -> tuple:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if min(a.shape) < 11:
         raise ValueError("SSIM needs at least 11x11 pixels")
-    win = gaussian_window(11, 1.5)
+    win = _window(11, 1.5)
     c1, c2 = 0.01**2, 0.03**2
-    mu_a = correlate_valid(a, win)
-    mu_b = correlate_valid(b, win)
-    var_a = np.maximum(correlate_valid(a * a, win) - mu_a * mu_a, 0.0)
-    var_b = np.maximum(correlate_valid(b * b, win) - mu_b * mu_b, 0.0)
-    cov = correlate_valid(a * b, win) - mu_a * mu_b
+    mu_a = _filter_valid(a, win)
+    mu_b = _filter_valid(b, win)
+    var_a = np.maximum(_filter_valid(a * a, win) - mu_a * mu_a, 0.0)
+    var_b = np.maximum(_filter_valid(b * b, win) - mu_b * mu_b, 0.0)
+    cov = _filter_valid(a * b, win) - mu_a * mu_b
     ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
@@ -134,7 +149,7 @@ def vif_pair(ref, dist) -> float:
     num = den = 0.0
     for scale in range(1, 5):
         n = 2 ** (4 - scale + 1) + 1
-        win = gaussian_window(n, n / 5.0)
+        win = _window(n, n / 5.0)
         if scale > 1:
             a = _conv_same(a, win)[::2, ::2]
             b = _conv_same(b, win)[::2, ::2]
@@ -206,8 +221,6 @@ def _csf_filter(a: np.ndarray) -> np.ndarray:
 
 def _masked_contrast(a: np.ndarray) -> np.ndarray:
     filtered = _csf_filter(a)
-    from .image import gaussian_blur
-
     num = gaussian_blur(filtered, 2.0)
     den = gaussian_blur(filtered, 32.0)
     c = np.zeros_like(a)

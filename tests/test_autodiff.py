@@ -143,6 +143,25 @@ def test_conv2d_gradients(stride, pad):
     assert rel_err(g[wn], fd_grad(f_w, w0.copy())).max() < 1e-6
 
 
+def test_conv2d_skips_the_gradient_of_a_constant_input():
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((2, 1, 8, 8))
+    w0 = rng.standard_normal((5, 1, 3, 3))
+    g = rng.standard_normal((2, 5, 4, 4))
+    dx, dw = ad.conv2d(ad.constant(x0), ad.leaf(w0), 2, 1).vjp(g)
+    dx_leaf, dw_leaf = ad.conv2d(ad.leaf(x0), ad.leaf(w0), 2, 1).vjp(g)
+    assert dx is None and dx_leaf.shape == x0.shape
+    assert np.array_equal(dw, dw_leaf)
+    # through backward the weight gradient is the same, bit for bit
+
+    def weight_grad(x_node):
+        wn = ad.leaf(w0)
+        out = ad.reduce_sum(ad.tanh(ad.conv2d(x_node, wn, 2, 1)))
+        return ad.backward(out, [wn])[wn]
+
+    assert np.array_equal(weight_grad(ad.constant(x0)), weight_grad(ad.leaf(x0)))
+
+
 @pytest.mark.parametrize("stride,pad,in_hw,out_hw", [(2, 1, (3, 3), (6, 6)), (1, 0, (4, 4), (6, 6))])
 def test_transposed_conv2d_gradients(stride, pad, in_hw, out_hw):
     rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,29 @@ def test_bad_magic_rejected(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(p)
+
+
+def test_truncated_file_names_the_field_being_read(tmp_path):
+    tensors = {"w": np.arange(6.0).reshape(2, 3), "s": np.array(2.5), "z": np.array([1 + 2j])}
+    full = tmp_path / "full.rffz"
+    save_checkpoint(full, tensors)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.rffz"
+    seen = set()
+    for length in range(len(blob)):
+        cut.write_bytes(blob[:length])
+        want = f"^{re.escape(str(cut))}: truncated at byte {length} while reading "
+        with pytest.raises(ValueError, match=want) as e:
+            load_checkpoint(cut)
+        seen.add(str(e.value).split(" while reading ")[1])
+    assert seen == {
+        "the magic", "the version and tensor count",
+        *(f"tensor {i}'s name length" for i in range(3)),
+        *(f"tensor {i}'s name" for i in range(3)),
+        *(f"tensor {n!r}'s {part}" for n in tensors
+          for part in ("dtype and rank", "extents", "payload") if (n, part) != ("s", "extents")),
+    }
+    assert load_checkpoint(full).keys() == tensors.keys()
 
 
 def _flow_tensors(tmp_path):

@@ -62,3 +62,24 @@ def test_override_choice_validation_names_key():
 def test_override_bad_value_names_key():
     with pytest.raises(ConfigError, match="override flow.steps = 'abc'.*bad value for flow.steps"):
         parse_config(overrides={"flow.steps": "abc"})
+
+
+@pytest.mark.parametrize("key,val,why", [
+    ("flow.steps", "0", ">= 1, got 0"),
+    ("codec.batch", "-3", ">= 1, got -3"),
+    ("codec.lr", "nan", "> 0, got nan"),
+])
+def test_out_of_range_values_rejected_in_files_and_overrides(key, val, why):
+    with pytest.raises(ConfigError, match=f"line 2: {key} must be a finite number {why}"):
+        parse_config(f"run.seed = 1\n{key} = {val}\n")
+    with pytest.raises(ConfigError, match=f"override {key} = '{val}': {key} must be .*{why}"):
+        parse_config(overrides={key: val})
+
+
+def test_range_edges_accepted():
+    cfg = parse_config("guidance.rho = 0\ncodec.lambda_color = 0\nflow.steps = 1\n",
+                       overrides={"flow.lr": "1e-9", "guidance.em_iters": "1"})
+    assert (cfg["guidance.rho"], cfg["flow.steps"], cfg["flow.lr"]) == (0.0, 1, 1e-9)
+    for key, val in (("guidance.rho", "-0.1"), ("codec.lambda_mask", "inf"), ("flow.lr", "0")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(overrides={key: val})

@@ -239,6 +239,21 @@ class TestAnalyticGaussianVelocity:
         with pytest.raises(ValueError):
             analytic_gaussian_velocity(1.0, 0.5, np.zeros(1), 1.0)
 
+    def test_trace_matches_evaluate_bitwise(self):
+        import flowfuse.autodiff as ad
+
+        mu0, s0 = 0.8, 0.6
+        model = VelocityModel.analytic_gaussian(mu0, s0)
+        x = np.random.default_rng(5).standard_normal((4, 3))
+        for t in (0.0, 0.37, 0.99, 1.0):
+            xn = ad.leaf(x)
+            node = model.trace(xn, t)
+            assert np.array_equal(node.value, model.evaluate(x, t)), t
+            # the state gradient is the field's slope, bit for bit
+            slope = (t - (1.0 - t) * s0 * s0) / ((1.0 - t) ** 2 * s0 * s0 + t * t)
+            grad = ad.backward(ad.reduce_sum(node), [xn])[xn]
+            assert np.array_equal(grad, np.full(x.shape, slope)), t
+
     def test_matches_monte_carlo_conditional_expectation(self):
         # E[eps - x0 | x_t in a 0.01 window around x] from 1e6 draws
         mu0, s0, t, x_query = 1.0, 0.5, 0.4, 0.7

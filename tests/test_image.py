@@ -3,6 +3,7 @@ import pytest
 
 from flowfuse.image import (
     Image,
+    correlate1d_valid,
     correlate_valid,
     gaussian_blur,
     gaussian_kernel1d,
@@ -84,6 +85,49 @@ class TestSobel:
             correlate_valid(np.zeros((2, 5)), SOBEL_X)
 
 
+class TestCorrelate1d:
+    """The one 1-D pass every Gaussian filter runs on, against nested loops."""
+
+    @staticmethod
+    def oracle(a, k, axis):
+        n = len(k)
+        if axis == 1:
+            return TestCorrelate1d.oracle(a.T, k, 0).T
+        out = np.zeros((a.shape[0] - n + 1, a.shape[1]))
+        for i in range(out.shape[0]):
+            for j in range(out.shape[1]):
+                acc = 0.0
+                for d in range(n):
+                    acc += k[d] * a[i + d, j]
+                out[i, j] = acc
+        return out
+
+    def test_matches_nested_loop_oracle_on_both_axes(self):
+        rng = np.random.default_rng(11)
+        a = rng.random((19, 23))
+        for n in range(3, 18):
+            k = rng.standard_normal(n)
+            for axis in (0, 1):
+                got = correlate1d_valid(a, k, axis)
+                want = self.oracle(a, k, axis)
+                assert got.shape == want.shape, (n, axis)
+                assert np.abs(got - want).max() < 1e-12, (n, axis)
+
+    def test_returns_without_copying_the_windows(self):
+        # a view in, one output-sized array out: a copy of the windows of a
+        # 256 x 256 array against 65 taps would allocate 65 times the input
+        import tracemalloc
+
+        a = np.random.default_rng(13).random((256, 256))
+        k = np.ones(65) / 65
+        for axis in (0, 1):
+            tracemalloc.start()
+            correlate1d_valid(a, k, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 2 * a.nbytes, (axis, peak)
+
+
 class TestHistogram:
     def test_constant_zero_image(self):
         p = histogram256(np.zeros((4, 4)))
@@ -150,6 +194,25 @@ class TestBlur:
     def test_preserves_constants(self):
         out = gaussian_blur(np.full((8, 8), 0.6), sigma=2.0)
         assert np.abs(out - 0.6).max() < 1e-12
+
+    @staticmethod
+    def tap_sum_oracle(a, sigma):
+        """The blur as one sequential sum per tap over edge-padded shifts."""
+        k = gaussian_kernel1d(sigma)
+        r = (len(k) - 1) // 2
+        p = np.pad(a, ((r, r), (0, 0)), mode="edge")
+        rows = sum(k[i] * p[i : i + a.shape[0], :] for i in range(len(k)))
+        p = np.pad(rows, ((0, 0), (r, r)), mode="edge")
+        return sum(k[j] * p[:, j : j + a.shape[1]] for j in range(len(k)))
+
+    def test_matches_the_per_tap_sum(self):
+        rng = np.random.default_rng(14)
+        # sigma 32 on 48 x 48: the 193-tap kernel is longer than the image
+        for shape, sigma in (((48, 48), 32.0), ((20, 31), 3.0), ((9, 5), 1.0), ((64, 64), 2.0)):
+            a = rng.random(shape)
+            got = gaussian_blur(a, sigma)
+            assert got.shape == a.shape
+            assert np.abs(got - self.tap_sum_oracle(a, sigma)).max() < 1e-12, (shape, sigma)
 
     def test_smooths_a_spike(self):
         a = np.zeros((9, 9))

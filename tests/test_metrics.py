@@ -132,6 +132,35 @@ class TestSsimPsnr:
         a, b = textured(16, 6), textured(16, 7)
         assert ssim_psnr(a, b)[0] == pytest.approx(ssim_psnr(b, a)[0], abs=1e-12)
 
+    def test_matches_the_2d_window_oracle(self):
+        # SSIM as documented: one 11 x 11 Gaussian window (sigma 1.5) summed
+        # tap by tap over the valid positions
+        def window_means(x):
+            r = np.arange(11) - 5.0
+            g = np.exp(-0.5 * (r / 1.5) ** 2)
+            w = np.outer(g, g) / np.outer(g, g).sum()
+            h, v = x.shape[0] - 10, x.shape[1] - 10
+            out = np.zeros((h, v))
+            for i in range(11):
+                for j in range(11):
+                    out += w[i, j] * x[i : i + h, j : j + v]
+            return out
+
+        def oracle(a, b):
+            mu_a, mu_b = window_means(a), window_means(b)
+            var_a = np.maximum(window_means(a * a) - mu_a**2, 0.0)
+            var_b = np.maximum(window_means(b * b) - mu_b**2, 0.0)
+            cov = window_means(a * b) - mu_a * mu_b
+            c1, c2 = 0.01**2, 0.03**2
+            return np.mean((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                           / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
+
+        rng = np.random.default_rng(15)
+        for a, b in ((textured(16, 6), textured(16, 7)),
+                     (textured(40, 8), np.clip(textured(40, 8) + 0.1 * rng.random((40, 40)), 0, 1)),
+                     (rng.random((23, 17)), rng.random((23, 17)))):
+            assert ssim_psnr(a, b)[0] == pytest.approx(oracle(a, b), abs=1e-12)
+
     def test_ssim_degrades_with_noise(self):
         rng = np.random.default_rng(8)
         x = textured(32, 8)
