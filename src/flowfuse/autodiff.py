@@ -8,7 +8,12 @@ accumulates adjoints. Primitives:
     add, sub, mul, div, matmul, column concat, conv2d (stride 1|2),
     transposed conv2d, leaky_relu, tanh, exp, log1p, abs (subgradient 0 at 0),
     sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
-    normalize, clamp (identity inside the bounds, zero outside).
+    normalize (per slice over the trailing two axes), clamp (identity inside
+    the bounds, zero outside).
+
+conv2d, transposed conv2d and fft2 take a leading batch axis, so a batch of
+images runs as one graph. A vjp returns None for an operand that takes no
+gradient, and backward skips it.
 
 Complex gradients are packed as dL/dRe + i*dL/dIm, so chaining through the
 linear DFT uses the conjugate-transposed transform exactly.
@@ -16,6 +21,7 @@ linear DFT uses the conjugate-transposed transform exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,13 +235,17 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
     cols, oh, ow = _im2col(x.value, kh, kw, stride, pad)
     wmat = w.value.reshape(cout, cin * kh * kw)
     out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
+    if not w.requires_grad:
+        cols = None  # only dw reads the windows; do not keep them with the graph
 
     def vjp(g):
+        # no product for an operand that takes no gradient (backward skips None)
         gmat = g.reshape(n, cout, oh * ow)
-        dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.value.shape)
-        if not x.requires_grad:
-            return None, dw  # a constant input takes no gradient (backward skips None)
-        return _col2im(np.matmul(wmat.T, gmat), x.value.shape, kh, kw, stride, pad), dw
+        dx = (_col2im(np.matmul(wmat.T, gmat), x.value.shape, kh, kw, stride, pad)
+              if x.requires_grad else None)
+        dw = (np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.value.shape)
+              if w.requires_grad else None)
+        return dx, dw
 
     return Node(out, (x, w), vjp, op="conv2d")
 
@@ -378,31 +388,38 @@ def complex_magnitude(z) -> Node:
 
 
 def minmax_normalize(x) -> Node:
-    """(x - min) / (max - min) over the whole array.
+    """(x - min) / (max - min) per slice over the trailing two axes.
 
-    A range within rounding of the values (at most 64 ulps of the larger
-    bound's magnitude) counts as constant and gives all zeros: normalizing
-    rounding noise would spread it over the full [0, 1] range.
+    Leading axes are batch: each (H, W) slice is normalized on its own, and a
+    2-D input is one slice. A range within rounding of the values (at most 64
+    ulps of the larger bound's magnitude) counts as constant and gives all
+    zeros for that slice: normalizing rounding noise would spread it over the
+    full [0, 1] range.
     """
     x = _wrap(x)
     v = x.value
-    lo, hi = v.min(), v.max()
+    flat = v.reshape(-1, math.prod(v.shape[-2:]))  # one row per slice
+    lo = flat.min(axis=1, keepdims=True)
+    hi = flat.max(axis=1, keepdims=True)
     r = hi - lo
-    if r <= 64 * np.finfo(np.float64).eps * max(abs(lo), abs(hi)):
-        return Node(np.zeros_like(v), (x,), lambda g: (np.zeros_like(v),), op="minmax")
-    y = (v - lo) / r
-    imin, imax = int(v.argmin()), int(v.argmax())
+    flat_slice = (r <= 64 * np.finfo(np.float64).eps * np.maximum(abs(lo), abs(hi)))[:, 0]
+    r[flat_slice] = 1.0  # its rows are zeroed below; this only avoids 0 / 0
+    y = (flat - lo) / r
+    y[flat_slice] = 0.0
+    rows = np.arange(len(flat))
+    imin, imax = flat.argmin(axis=1), flat.argmax(axis=1)
 
     def vjp(g):
-        s1 = g.sum()
-        s2 = (g * y).sum()
+        g = g.reshape(flat.shape)
+        s1 = g.sum(axis=1)
+        s2 = (g * y).sum(axis=1)
         dx = g / r
-        dx = dx.copy()
-        dx.flat[imin] += (s2 - s1) / r
-        dx.flat[imax] -= s2 / r
-        return (dx,)
+        dx[rows, imin] += (s2 - s1) / r[:, 0]
+        dx[rows, imax] -= s2 / r[:, 0]
+        dx[flat_slice] = 0.0
+        return (dx.reshape(v.shape),)
 
-    return Node(y, (x,), vjp, op="minmax")
+    return Node(y.reshape(v.shape), (x,), vjp, op="minmax")
 
 
 # -- backward pass ---------------------------------------------------------------------

@@ -6,6 +6,11 @@ to [0, 1]. Stage one fits encoder and decoder with reconstruction plus a
 spectral log-magnitude loss; stage two freezes the encoder and fine-tunes the
 decoder alone with the fusion loss, so that decoding a source latent starts
 producing fused-looking images.
+
+Each training step runs one batched (n, 1, H, W) graph over all its images
+and one backward pass. A batch with several image shapes gets one graph per
+shape, each weighted by its share of the images, so every loss is the mean
+over images of the per-image loss.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .image import Image, as_gray, correlate_valid, gaussian_window
-from .guidance import WeightMaps, saliency_weights
+from .image import Image, as_gray, correlate1d_valid, gaussian_window1d
+from .guidance import WeightMaps, saliency_weights, weighted_target
 from .optim import ParamSet, adam_step
 from .tensor import Tensor, as_array
 
@@ -149,8 +154,8 @@ def decode(p: CodecParams, z) -> Image:
 
 
 def _log_spectrum_node(img_node: ad.Node) -> ad.Node:
-    """Min-max-normalized log(1 + |DFT|), without the center shift (see
-    freq_loss)."""
+    """Min-max-normalized log(1 + |DFT|) of each image, without the center
+    shift (see freq_loss)."""
     return ad.minmax_normalize(ad.log1p(ad.complex_magnitude(ad.fft2(img_node))))
 
 
@@ -188,26 +193,45 @@ _SSIM_SIGMA = 1.5
 _SSIM_WIN = 11
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
+_SSIM_K = gaussian_window1d(_SSIM_WIN, _SSIM_SIGMA)
+
+
+def _ssim_filter(x: ad.Node) -> ad.Node:
+    """The 11x11 SSIM window as two valid 1-D passes: along rows, then columns."""
+    return ad.conv2d(ad.conv2d(x, _SSIM_K[None, None, None, :]), _SSIM_K[None, None, :, None])
 
 
 def _ssim_node(a: ad.Node, b: ad.Node) -> ad.Node:
     """Mean local SSIM (11x11 Gaussian window, sigma 1.5, L = 1, valid mode)
-    between (1, 1, H, W) nodes."""
+    between (n, 1, H, W) nodes, over all n images."""
     h, w = a.value.shape[-2:]
     if h < _SSIM_WIN or w < _SSIM_WIN:
         raise ValueError(f"SSIM needs at least {_SSIM_WIN}x{_SSIM_WIN} pixels, got {h}x{w}")
-    k = ad.constant(gaussian_window(_SSIM_WIN, _SSIM_SIGMA)[None, None])
-    mu_a = ad.conv2d(a, k)
-    mu_b = ad.conv2d(b, k)
-    var_a = ad.conv2d(a * a, k) - mu_a * mu_a
-    var_b = ad.conv2d(b * b, k) - mu_b * mu_b
-    cov = ad.conv2d(a * b, k) - mu_a * mu_b
+    mu_a = _ssim_filter(a)
+    mu_b = _ssim_filter(b)
+    var_a = _ssim_filter(a * a) - mu_a * mu_a
+    var_b = _ssim_filter(b * b) - mu_b * mu_b
+    cov = _ssim_filter(a * b) - mu_a * mu_b
     num = (mu_a * mu_b * 2.0 + _SSIM_C1) * (cov * 2.0 + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return ad.reduce_mean(num / den)
 
 
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+# Sobel x is outer([1, 2, 1], [-1, 0, 1]): smoothing down the rows, a central
+# difference along them; Sobel y is its transpose.
+_SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
+_SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
+_SOBEL_X = np.outer(_SOBEL_SMOOTH, _SOBEL_DIFF)
+
+
+def _sobel(stack: np.ndarray):
+    """Valid-mode Sobel (x, y) responses of an (n, H, W) stack, each as two
+    1-D passes."""
+    if stack.ndim != 3:
+        raise ValueError(f"Sobel needs an (n, H, W) stack, got shape {stack.shape}")
+    gx = correlate1d_valid(correlate1d_valid(stack, _SOBEL_SMOOTH, 1), _SOBEL_DIFF, 2)
+    gy = correlate1d_valid(correlate1d_valid(stack, _SOBEL_DIFF, 1), _SOBEL_SMOOTH, 2)
+    return gx, gy
 
 
 def _sobel_pair(x4: ad.Node):
@@ -216,12 +240,13 @@ def _sobel_pair(x4: ad.Node):
     return ad.absolute(ad.conv2d(x4, kx)), ad.absolute(ad.conv2d(x4, ky))
 
 
-def _fusion_loss_nodes(f: ad.Node, i2: np.ndarray, v2: np.ndarray, w: LossWeights,
+def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeights,
                        weight_maps: WeightMaps | None) -> dict:
-    """Per-term scalar nodes for one (1, 1, H, W) fused node against gray
-    sources. The color term is handled outside (chroma never passes through
-    the decoder here)."""
-    i4, v4 = i2[None, None], v2[None, None]
+    """Per-term scalar nodes, each a mean over the n images, for one
+    (n, 1, H, W) fused node against (n, H, W) stacks of gray sources. The
+    color term is handled outside (chroma never passes through the decoder
+    here)."""
+    i4, v4 = i3[:, None], v3[:, None]
     terms = {}
     if w.intensity:
         target = ad.constant(np.maximum(i4, v4))
@@ -231,15 +256,16 @@ def _fusion_loss_nodes(f: ad.Node, i2: np.ndarray, v2: np.ndarray, w: LossWeight
         terms["ssim"] = two - _ssim_node(f, ad.constant(i4)) - _ssim_node(f, ad.constant(v4))
     if w.grad:
         gxf, gyf = _sobel_pair(f)
-        tx, ty = (ad.constant(np.maximum(np.abs(correlate_valid(i2, k)),
-                                         np.abs(correlate_valid(v2, k)))[None, None])
-                  for k in (_SOBEL_X, _SOBEL_X.T))
+        tx, ty = (ad.constant(np.maximum(np.abs(gi), np.abs(gv))[:, None])
+                  for gi, gv in zip(_sobel(i3), _sobel(v3)))
         gsum = ad.reduce_mean(ad.absolute(gxf - tx)) + ad.reduce_mean(ad.absolute(gyf - ty))
         terms["grad"] = gsum * 0.5
     if w.mask:
-        wm = weight_maps if weight_maps is not None else saliency_weights(i2, v2)
-        blend = np.clip(wm.w_v * v2 + wm.w_ir * i2, 0.0, 1.0)
-        terms["mask"] = ad.reduce_mean(ad.absolute(ad.constant(blend[None, None]) - f))
+        blend = np.stack([
+            weighted_target(i, v, weight_maps if weight_maps is not None
+                            else saliency_weights(i, v))
+            for i, v in zip(i3, v3)])
+        terms["mask"] = ad.reduce_mean(ad.absolute(ad.constant(blend[:, None]) - f))
     return terms
 
 
@@ -269,7 +295,8 @@ def fusion_loss(f, i, v, w: LossWeights, weight_maps: WeightMaps | None = None):
     f2, i2, v2 = _loss_gray(f), _loss_gray(i), _loss_gray(v)
     if not (f2.shape == i2.shape == v2.shape):
         raise ValueError("fused and source images must share a shape")
-    terms = _fusion_loss_nodes(ad.constant(f2[None, None]), i2, v2, w, weight_maps)
+    terms = _fusion_loss_nodes(ad.constant(f2[None, None]), i2[None], v2[None], w,
+                               weight_maps)
     comps = {k: float(n.value) for k, n in terms.items()}
     comps.setdefault("intensity", 0.0)
     comps.setdefault("ssim", 0.0)
@@ -285,12 +312,21 @@ def fusion_loss(f, i, v, w: LossWeights, weight_maps: WeightMaps | None = None):
 # -- training steps ---------------------------------------------------------------------
 
 
-def _batch_arrays(batch) -> list:
-    out = []
-    for item in batch:
-        a = _loss_gray(item)
-        _check_divisible(a)
-        out.append(a)
+def _shape_groups(arrays) -> list:
+    """Indices of the equal-shape arrays, one list per shape, in first-seen
+    order."""
+    groups = {}
+    for k, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(k)
+    return list(groups.values())
+
+
+def _weighted_sum(parts):
+    """Sum of node * weight over (node, weight) pairs."""
+    out = None
+    for node, weight in parts:
+        term = node * weight
+        out = term if out is None else out + term
     return out
 
 
@@ -299,24 +335,24 @@ def stage1_step(p: CodecParams, batch, w: LossWeights, lr=1e-3, beta1=0.9, beta2
     spectral loss; returns (updated params, component means)."""
     if p.freeze != "none":
         raise ValueError("stage one trains encoder and decoder; freeze must be none")
-    imgs = _batch_arrays(batch)
+    imgs = [_loss_gray(item) for item in batch]
+    for a in imgs:
+        _check_divisible(a)
     get_e, enc_leaves = _leaf_getter(p.encoder)
     get_d, dec_leaves = _leaf_getter(p.decoder)
-    n = len(imgs)
-    l1_nodes, fre_nodes = [], []
-    for a in imgs:
-        x = ad.constant(a[None, None])
+    l1_parts, fre_parts = [], []
+    for idx in _shape_groups(imgs):
+        x = ad.constant(np.stack([imgs[k] for k in idx])[:, None])
         recon = _decode_nodes(get_d, p, _encode_nodes(get_e, p, x))
-        l1_nodes.append(ad.reduce_mean(ad.absolute(recon - x)))
+        share = len(idx) / len(imgs)
+        l1_parts.append((ad.reduce_mean(ad.absolute(recon - x)), share))
         if w.fre:
-            fre_nodes.append(_freq_loss_node(recon, x))
-    l1 = l1_nodes[0] if n == 1 else sum(l1_nodes[1:], l1_nodes[0])
-    l1 = l1 * (1.0 / n)
+            fre_parts.append((_freq_loss_node(recon, x), share))
+    l1 = _weighted_sum(l1_parts)
     total = l1
     fre = None
-    if fre_nodes:
-        fre = fre_nodes[0] if n == 1 else sum(fre_nodes[1:], fre_nodes[0])
-        fre = fre * (1.0 / n)
+    if fre_parts:
+        fre = _weighted_sum(fre_parts)
         total = l1 + fre * w.fre
     losses = {
         "l1": float(l1.value),
@@ -348,27 +384,28 @@ def stage2_step(p: CodecParams, pairs, w: LossWeights, lr=1e-3, beta1=0.9, beta2
     """
     if p.freeze != "encoder":
         raise ValueError("stage two requires freeze='encoder'")
+    srcs = [(_loss_gray(i_img), _loss_gray(v_img)) for i_img, v_img in pairs]
+    if not srcs:
+        raise ValueError("stage two needs at least one (i, v) pair")
+    for k, (i2, v2) in enumerate(srcs):
+        if i2.shape != v2.shape:
+            raise ValueError(f"pair {k}: i is {i2.shape} but v is {v2.shape}")
+        _check_divisible(v2)
     get_e = _const_getter(p.encoder)
     get_d, dec_leaves = _leaf_getter(p.decoder)
-    comps_sum = {"intensity": 0.0, "ssim": 0.0, "grad": 0.0, "mask": 0.0}
-    total_node = None
-    n = 0
-    for i_img, v_img in pairs:
-        i2, v2 = _loss_gray(i_img), _loss_gray(v_img)
-        _check_divisible(v2)
-        f = _decode_nodes(get_d, p, _encode_nodes(get_e, p, ad.constant(v2[None, None])))
-        terms = _fusion_loss_nodes(f, i2, v2, w, weight_maps)
-        pair_total = None
+    losses = {"intensity": 0.0, "ssim": 0.0, "grad": 0.0, "mask": 0.0}
+    total_parts = []
+    for idx in _shape_groups([v2 for _, v2 in srcs]):
+        i3 = np.stack([srcs[k][0] for k in idx])
+        v3 = np.stack([srcs[k][1] for k in idx])
+        f = _decode_nodes(get_d, p, _encode_nodes(get_e, p, ad.constant(v3[:, None])))
+        terms = _fusion_loss_nodes(f, i3, v3, w, weight_maps)
+        share = len(idx) / len(srcs)
         for name, node in terms.items():
-            comps_sum[name] += float(node.value)
-            weighted = node * getattr(w, name)
-            pair_total = weighted if pair_total is None else pair_total + weighted
-        total_node = pair_total if total_node is None else total_node + pair_total
-        n += 1
-    if n == 0:
-        raise ValueError("stage two needs at least one (i, v) pair")
-    total_node = total_node * (1.0 / n)
-    losses = {k: s / n for k, s in comps_sum.items()}
+            losses[name] += float(node.value) * share
+        total_parts.append((_weighted_sum((node, getattr(w, name))
+                                          for name, node in terms.items()), share))
+    total_node = _weighted_sum(total_parts)
     losses["color"] = 0.0  # luma-only training path
     losses["total"] = float(total_node.value)
     if not np.isfinite(losses["total"]):

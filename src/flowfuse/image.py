@@ -1,6 +1,6 @@
 """Image type and pixel-domain primitives: histograms, Gaussian windows and
-blur, valid-mode correlation (2-D, and 1-D along an axis for separable
-filters), BT.601 color conversion.
+blur, one valid-mode correlation (1-D along an axis: every window here is
+separable, so 2-D filters run as one pass per axis), BT.601 color conversion.
 
 Pixel values live in [0, 1] float64 everywhere; 8-bit I/O converts by /255
 and round(*255) at the file boundary (see imgio). Color images carry an
@@ -104,39 +104,28 @@ def histogram256(img) -> np.ndarray:
 
 # -- Gaussian windows, blur and correlation ------------------------------------
 
-def _gaussian(n: int, sigma: float) -> np.ndarray:
-    """n unnormalized Gaussian samples centred on the middle one."""
+def gaussian_window1d(n: int, sigma: float) -> np.ndarray:
+    """n Gaussian samples centred on the middle one, normalized to sum 1 (the
+    SSIM and VIF window); its outer product is the 2-D n x n window."""
     x = np.arange(n) - (n - 1) / 2.0
-    return np.exp(-0.5 * (x / sigma) ** 2)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    return k / k.sum()
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
     """1-D Gaussian kernel truncated at 3 sigma, normalized to sum 1."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    k = _gaussian(2 * int(np.ceil(3.0 * sigma)) + 1, sigma)
-    return k / k.sum()
-
-
-def gaussian_window(n: int, sigma: float) -> np.ndarray:
-    """n x n Gaussian window, normalized to sum 1 (the SSIM and VIF window)."""
-    k = _gaussian(n, sigma)
-    k2 = np.outer(k, k)
-    return k2 / k2.sum()
-
-
-def correlate_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """2-D cross-correlation of a with k at the positions where k fits whole."""
-    win = np.lib.stride_tricks.sliding_window_view(a, k.shape)
-    return np.einsum("ijkl,kl->ij", win, k)
+    return gaussian_window1d(2 * int(np.ceil(3.0 * sigma)) + 1, sigma)
 
 
 def correlate1d_valid(a: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    """1-D cross-correlation of the 2-D array a with k along axis, at the
-    positions where k fits whole; a Gaussian window runs as one pass per axis."""
+    """1-D cross-correlation of a with k along axis (counted from the front,
+    so a stack of images adds leading axes), at the positions where k fits
+    whole; a separable 2-D filter runs as one pass per axis."""
     win = np.lib.stride_tricks.sliding_window_view(a, len(k), axis=axis)
     # Stack over the output positions along axis: each stacked matrix then
-    # pairs the other axis with the window, which BLAS reads in place.
+    # pairs the other axes with the window, which BLAS reads in place.
     return (win.swapaxes(0, axis) @ k).swapaxes(0, axis)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import _fft2_raw, _pad_pow2
-from .image import _gaussian, as_gray, correlate1d_valid, gaussian_blur, histogram256
+from .image import as_gray, correlate1d_valid, gaussian_blur, gaussian_window1d, histogram256
 
 _COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
@@ -97,12 +97,6 @@ def sf_ag(x) -> tuple:
 # -- SSIM / PSNR -----------------------------------------------------------------------
 
 
-def _window(n: int, sigma: float) -> np.ndarray:
-    """Normalized 1-D window; its outer product is the 2-D n x n window."""
-    k = _gaussian(n, sigma)
-    return k / k.sum()
-
-
 def _filter_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Valid-mode 2-D filtering with the separable window outer(k, k)."""
     return correlate1d_valid(correlate1d_valid(a, k, axis=0), k, axis=1)
@@ -120,7 +114,7 @@ def ssim_psnr(f, s) -> tuple:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if min(a.shape) < 11:
         raise ValueError("SSIM needs at least 11x11 pixels")
-    win = _window(11, 1.5)
+    win = gaussian_window1d(11, 1.5)
     c1, c2 = 0.01**2, 0.03**2
     mu_a = _filter_valid(a, win)
     mu_b = _filter_valid(b, win)
@@ -149,7 +143,7 @@ def vif_pair(ref, dist) -> float:
     num = den = 0.0
     for scale in range(1, 5):
         n = 2 ** (4 - scale + 1) + 1
-        win = _window(n, n / 5.0)
+        win = gaussian_window1d(n, n / 5.0)
         if scale > 1:
             a = _conv_same(a, win)[::2, ::2]
             b = _conv_same(b, win)[::2, ::2]

@@ -298,22 +298,24 @@ def test_a09_sampler_cost_is_affine_in_step_count():
     spec = GuidanceSpec(rho=0.5, grad_mode="stop-grad")
     step_counts = [1, 5, 10, 50, 100]
     runs = 9
-    means = []
+    scheds = [SampleSchedule.uniform(n) for n in step_counts]
+    times = [[] for _ in step_counts]
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for n in step_counts:
-            sched = SampleSchedule.uniform(n)
+        for sched in scheds:
             euler_sample(model, z_v, sched, spec, (z_i, z_v))  # warmup
-            times = []
-            for _ in range(runs):
+        # round-robin over the step counts: a slow or fast phase of a shared
+        # host then lands on every count alike instead of bending the line
+        for _ in range(runs):
+            for sched, ts in zip(scheds, times):
                 t1 = time.perf_counter()
                 euler_sample(model, z_v, sched, spec, (z_i, z_v))
-                times.append(time.perf_counter() - t1)
-            means.append(float(np.median(times)))
+                ts.append(time.perf_counter() - t1)
     finally:
         if gc_was_enabled:
             gc.enable()
+    means = [float(np.median(ts)) for ts in times]
     xs = np.asarray(step_counts, dtype=np.float64)
     ys = np.asarray(means)
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -162,6 +162,72 @@ def test_conv2d_skips_the_gradient_of_a_constant_input():
     assert np.array_equal(weight_grad(ad.constant(x0)), weight_grad(ad.leaf(x0)))
 
 
+def test_conv2d_skips_the_gradient_of_a_constant_weight():
+    rng = np.random.default_rng(14)
+    x0 = rng.standard_normal((2, 1, 8, 8))
+    w0 = rng.standard_normal((5, 1, 3, 3))
+    g = rng.standard_normal((2, 5, 4, 4))
+    dx, dw = ad.conv2d(ad.leaf(x0), ad.constant(w0), 2, 1).vjp(g)
+    dx_leaf, dw_leaf = ad.conv2d(ad.leaf(x0), ad.leaf(w0), 2, 1).vjp(g)
+    assert dw is None and dw_leaf.shape == w0.shape
+    assert np.array_equal(dx, dx_leaf)
+    # through backward the input gradient is the same, bit for bit
+
+    def input_grad(w_node):
+        xn = ad.leaf(x0)
+        out = ad.reduce_sum(ad.tanh(ad.conv2d(xn, w_node, 2, 1)))
+        return ad.backward(out, [xn])[xn]
+
+    assert np.array_equal(input_grad(ad.constant(w0)), input_grad(ad.leaf(w0)))
+
+
+def test_conv2d_keeps_no_windows_for_a_constant_weight():
+    # only dw reads the im2col windows: with a constant 11 x 11 weight the
+    # graph would otherwise hold 121 copies of the output's pixels
+    import tracemalloc
+
+    xn = ad.leaf(np.random.default_rng(17).random((1, 1, 64, 64)))
+    w0 = np.ones((1, 1, 11, 11)) / 121
+    windows = 121 * 54 * 54 * 8
+    for w_node, held in ((ad.constant(w0), False), (ad.leaf(w0), True)):
+        tracemalloc.start()
+        try:
+            y = ad.conv2d(xn, w_node)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (kept > windows) == held, (held, kept)
+        del y
+
+
+def test_minmax_normalize_is_per_slice_over_the_trailing_two_axes():
+    rng = np.random.default_rng(15)
+    x0 = rng.standard_normal((3, 1, 8, 8))
+    x0[1] = 0.7  # a constant slice between two varying ones
+    g = rng.standard_normal(x0.shape)
+    batch = ad.minmax_normalize(ad.leaf(x0))
+    (dx,) = batch.vjp(g)
+    for k in range(3):
+        one = ad.minmax_normalize(ad.leaf(x0[k, 0]))
+        assert np.array_equal(batch.value[k, 0], one.value), k
+        assert np.array_equal(dx[k, 0], one.vjp(g[k, 0])[0]), k
+    assert np.all(batch.value[1] == 0) and np.all(dx[1] == 0)
+    for k in (0, 2):
+        assert batch.value[k].min() == 0 and batch.value[k].max() == 1
+        assert np.any(dx[k] != 0)
+
+
+def test_minmax_normalize_batch_gradients():
+    rng = np.random.default_rng(16)
+    c = rng.standard_normal((2, 1, 4, 4))
+    rep = ad.check_gradients(
+        lambda ns: ad.reduce_sum(ad.minmax_normalize(ns["x"]) * c),
+        {"x": rng.standard_normal((2, 1, 4, 4))},
+    )
+    assert rep.ok, str(rep)
+    assert rep.inputs["x"]["checked"] == 32
+
+
 @pytest.mark.parametrize("stride,pad,in_hw,out_hw", [(2, 1, (3, 3), (6, 6)), (1, 0, (4, 4), (6, 6))])
 def test_transposed_conv2d_gradients(stride, pad, in_hw, out_hw):
     rng = np.random.default_rng(3)

@@ -204,6 +204,12 @@ class TestStage2:
         with pytest.raises(ValueError, match="freeze"):
             stage2_step(p, [(np.zeros((16, 16)), np.zeros((16, 16)))], LossWeights())
 
+    def test_pair_shape_mismatch_named(self):
+        p = CodecParams.initialize(hidden=(4, 4), seed=14).with_freeze("encoder")
+        pairs = [(np.zeros((16, 16)), np.zeros((16, 16))), (np.zeros((16, 20)), np.zeros((16, 16)))]
+        with pytest.raises(ValueError, match="pair 1"):
+            stage2_step(p, pairs, LossWeights())
+
     def test_dominant_mask_with_wv_one_pulls_output_toward_v(self):
         p = CodecParams.initialize(hidden=(6, 8), seed=15).with_freeze("encoder")
         rng = np.random.default_rng(15)
@@ -243,7 +249,7 @@ def test_fusion_loss_gradients_pass_numeric_check():
         get_d = lambda k: ns[k]
         z = encode(p, v2).data[None]
         f = _decode_nodes(get_d, p, ad.constant(z))
-        terms = _fusion_loss_nodes(f, i2, v2, weights, None)
+        terms = _fusion_loss_nodes(f, i2[None], v2[None], weights, None)
         total = None
         for name, node in terms.items():
             weighted = node * getattr(weights, name)
@@ -263,7 +269,8 @@ def test_fusion_loss_gradients_pass_numeric_check():
         get_d = lambda k: ns[k]
         z = encode(p, v16).data[None]
         f = _decode_nodes(get_d, p, ad.constant(z))
-        terms = _fusion_loss_nodes(f, i16, v16, LossWeights(intensity=0, grad=0, mask=0), None)
+        terms = _fusion_loss_nodes(f, i16[None], v16[None],
+                                   LossWeights(intensity=0, grad=0, mask=0), None)
         return terms["ssim"]
 
     rep16 = ad.check_gradients(
@@ -294,3 +301,159 @@ def test_stage1_gradients_pass_numeric_check():
     inputs.update({f"d.{k}": p.decoder[k] for k in names_d})
     rep = ad.check_gradients(build, inputs, tolerance=1e-4, sample=40, seed=0)
     assert rep.ok, str(rep)
+
+
+# -- the batched training graphs against the per-image loop they replace ----------------
+
+
+def _old_ssim(a, b):
+    """Tape SSIM with the 2-D 11 x 11 window, as one conv per moment."""
+    from flowfuse import autodiff as ad
+
+    x = np.arange(11) - 5.0
+    k = np.exp(-0.5 * (x / 1.5) ** 2)
+    win = ad.constant((np.outer(k, k) / np.outer(k, k).sum())[None, None])
+    mu_a, mu_b = ad.conv2d(a, win), ad.conv2d(b, win)
+    var_a = ad.conv2d(a * a, win) - mu_a * mu_a
+    var_b = ad.conv2d(b * b, win) - mu_b * mu_b
+    cov = ad.conv2d(a * b, win) - mu_a * mu_b
+    num = (mu_a * mu_b * 2.0 + 0.01**2) * (cov * 2.0 + 0.03**2)
+    den = (mu_a * mu_a + mu_b * mu_b + 0.01**2) * (var_a + var_b + 0.03**2)
+    return ad.reduce_mean(num / den)
+
+
+def _old_sobel_abs(a, kern):
+    """|2-D valid correlation| of one image with a 3 x 3 kernel."""
+    win = np.lib.stride_tricks.sliding_window_view(a, kern.shape)
+    return np.abs(np.einsum("ijkl,kl->ij", win, kern))
+
+
+def _old_stage1_step(p, batch, w, lr):
+    """Stage one as one graph per image, summed and divided by n."""
+    from flowfuse import autodiff as ad
+    from flowfuse.codec import _decode_nodes, _encode_nodes, _freq_loss_node, _leaf_getter
+    from flowfuse.optim import adam_step
+
+    get_e, enc = _leaf_getter(p.encoder)
+    get_d, dec = _leaf_getter(p.decoder)
+    l1s, fres = [], []
+    for a in batch:
+        x = ad.constant(a[None, None])
+        recon = _decode_nodes(get_d, p, _encode_nodes(get_e, p, x))
+        l1s.append(ad.reduce_mean(ad.absolute(recon - x)))
+        fres.append(_freq_loss_node(recon, x))
+    l1 = sum(l1s[1:], l1s[0]) * (1.0 / len(batch))
+    fre = sum(fres[1:], fres[0]) * (1.0 / len(batch))
+    total = l1 + fre * w.fre
+    grads = ad.backward(total, list(enc.values()) + list(dec.values()))
+    new = CodecParams(adam_step(p.encoder, {k: grads[n] for k, n in enc.items()}, lr),
+                      adam_step(p.decoder, {k: grads[n] for k, n in dec.items()}, lr),
+                      p.in_channels, p.hidden, p.latent_channels, p.alpha, p.freeze)
+    return new, {"l1": float(l1.value), "fre": float(fre.value), "total": float(total.value)}
+
+
+def _old_stage2_step(p, pairs, w, lr):
+    """Stage two as one graph per pair, summed and divided by n."""
+    from flowfuse import autodiff as ad
+    from flowfuse.codec import (_SOBEL_X, _const_getter, _decode_nodes, _encode_nodes,
+                                _leaf_getter, _sobel_pair)
+    from flowfuse.guidance import saliency_weights
+    from flowfuse.optim import adam_step
+
+    get_e = _const_getter(p.encoder)
+    get_d, dec = _leaf_getter(p.decoder)
+    sums = {"intensity": 0.0, "ssim": 0.0, "grad": 0.0, "mask": 0.0}
+    total = None
+    for i2, v2 in pairs:
+        i4, v4 = ad.constant(i2[None, None]), ad.constant(v2[None, None])
+        f = _decode_nodes(get_d, p, _encode_nodes(get_e, p, v4))
+        gxf, gyf = _sobel_pair(f)
+        tx, ty = (ad.constant(np.maximum(_old_sobel_abs(i2, k), _old_sobel_abs(v2, k))[None, None])
+                  for k in (_SOBEL_X, _SOBEL_X.T))
+        wm = saliency_weights(i2, v2)
+        blend = np.clip(wm.w_v * v2 + wm.w_ir * i2, 0.0, 1.0)
+        terms = {
+            "intensity": ad.reduce_mean(ad.absolute(f - np.maximum(i2, v2)[None, None])),
+            "ssim": ad.constant(np.asarray(2.0)) - _old_ssim(f, i4) - _old_ssim(f, v4),
+            "grad": (ad.reduce_mean(ad.absolute(gxf - tx))
+                     + ad.reduce_mean(ad.absolute(gyf - ty))) * 0.5,
+            "mask": ad.reduce_mean(ad.absolute(ad.constant(blend[None, None]) - f)),
+        }
+        pair_total = None
+        for name, node in terms.items():
+            sums[name] += float(node.value)
+            weighted = node * getattr(w, name)
+            pair_total = weighted if pair_total is None else pair_total + weighted
+        total = pair_total if total is None else total + pair_total
+    total = total * (1.0 / len(pairs))
+    losses = {k: s / len(pairs) for k, s in sums.items()}
+    losses["total"] = float(total.value)
+    grads = ad.backward(total, list(dec.values()))
+    new = CodecParams(p.encoder, adam_step(p.decoder, {k: grads[n] for k, n in dec.items()}, lr),
+                      p.in_channels, p.hidden, p.latent_channels, p.alpha, p.freeze)
+    return new, losses
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+def _assert_same_update(p, new, old):
+    """The Adam updates of every parameter agree to rel relative to their size."""
+    for part in ("encoder", "decoder"):
+        before, a, b = getattr(p, part), getattr(new, part), getattr(old, part)
+        for k in before.names():
+            d_new, d_old = a[k] - before[k], b[k] - before[k]
+            scale = np.abs(d_old).max()
+            assert np.abs(d_new - d_old).max() <= 1e-12 * max(scale, 1e-300), (part, k)
+
+
+SHAPES = {"one shape": [16] * 4, "mixed shapes": [16, 20, 16, 20, 20]}
+
+
+class TestBatchedSteps:
+    """One graph per image shape gives the per-image loop's losses and updates."""
+
+    @pytest.mark.parametrize("sizes", SHAPES.values(), ids=SHAPES.keys())
+    def test_stage1_matches_the_per_image_loop(self, sizes):
+        p = CodecParams.initialize(hidden=(4, 6), seed=19)
+        batch = [textures(1, n, 19 + k)[0] for k, n in enumerate(sizes)]
+        w = LossWeights(fre=0.3)
+        new, losses = stage1_step(p, batch, w, lr=2e-3)
+        old, want = _old_stage1_step(p, batch, w, lr=2e-3)
+        for k in ("l1", "fre", "total"):
+            _assert_close(losses[k], want[k])
+        _assert_same_update(p, new, old)
+
+    @pytest.mark.parametrize("sizes", SHAPES.values(), ids=SHAPES.keys())
+    def test_stage2_matches_the_per_image_loop(self, sizes):
+        p = CodecParams.initialize(hidden=(4, 6), seed=20).with_freeze("encoder")
+        pairs = [(textures(1, n, 40 + k)[0], textures(1, n, 60 + k)[0])
+                 for k, n in enumerate(sizes)]
+        w = LossWeights(intensity=0.3, ssim=2.5, grad=0.3, mask=1.2)
+        new, losses = stage2_step(p, pairs, w, lr=2e-3)
+        old, want = _old_stage2_step(p, pairs, w, lr=2e-3)
+        for k in ("intensity", "ssim", "grad", "mask", "total"):
+            _assert_close(losses[k], want[k])
+        _assert_same_update(p, new, old)
+
+    def test_stage2_peak_memory_at_32px(self):
+        # one stage-two step of the benchmark's recipe (32 px, 4 pairs, hidden
+        # 24,48): 25.96 MiB peak with one graph per pair, the 2-D SSIM window
+        # and the im2col windows of constant weights kept on the tape; 6.81 MiB
+        # batched, separable and without those windows (numpy 2.4)
+        import tracemalloc
+
+        from flowfuse import synth
+
+        p = CodecParams.initialize(hidden=(24, 48), seed=1).with_freeze("encoder")
+        pairs = [tuple(img.pixels for img in synth.make_pair("ivif", 32, 1, k))
+                 for k in range(4)]
+        w = LossWeights(intensity=0.3, ssim=2.5, grad=0.3, color=0, mask=1.2)
+        tracemalloc.start()
+        try:
+            stage2_step(p, pairs, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 25.96 * 2**20, peak / 2**20

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from flowfuse.codec import _sobel
 from flowfuse.image import (
     Image,
     correlate1d_valid,
-    correlate_valid,
     gaussian_blur,
     gaussian_kernel1d,
-    gaussian_window,
+    gaussian_window1d,
     histogram256,
     luma,
     rgb_ycbcr,
@@ -52,37 +52,37 @@ class TestImageType:
 
 
 class TestSobel:
-    """The valid-mode Sobel of the codec's gradient loss: correlate_valid with
-    the 3x3 Sobel kernels."""
+    """The valid-mode Sobel of the codec's gradient loss: [1, 2, 1] down the
+    rows and [-1, 0, 1] along them (and the transpose), as 1-D passes over an
+    (n, H, W) stack."""
 
     def test_constant_image_gives_zero_everywhere(self):
-        a = np.full((5, 5), 0.4)
-        for k in (SOBEL_X, SOBEL_Y):
-            assert np.all(correlate_valid(a, k) == 0)
+        a = np.full((2, 5, 5), 0.4)
+        for g in _sobel(a):
+            assert g.shape == (2, 3, 3) and np.all(g == 0)
 
     def test_vertical_step_edge(self):
-        a = np.zeros((5, 6))
-        a[:, 3:] = 1.0
-        gx, gy = correlate_valid(a, SOBEL_X), correlate_valid(a, SOBEL_Y)
-        assert gx.shape == gy.shape == (3, 4)
+        a = np.zeros((1, 5, 6))
+        a[:, :, 3:] = 1.0
+        gx, gy = _sobel(a)
+        assert gx.shape == gy.shape == (1, 3, 4)
         assert np.all(gy == 0)
-        assert np.all(gx[:, 1:3] == 4.0)  # windows centred on the edge columns
-        assert np.all(gx[:, [0, 3]] == 0)
+        assert np.all(gx[:, :, 1:3] == 4.0)  # windows centred on the edge columns
+        assert np.all(gx[:, :, [0, 3]] == 0)
 
     def test_matches_direct_convolution_oracle(self):
         rng = np.random.default_rng(7)
-        a = rng.random((5, 5))
-        for k in (SOBEL_X, SOBEL_Y):
-            assert np.abs(correlate_valid(a, k) - correlation_oracle(a, k)).max() < 1e-12
-        b = rng.random((16, 13))
-        win = gaussian_window(11, 1.5)
-        assert np.abs(correlate_valid(b, win) - correlation_oracle(b, win)).max() < 1e-12
+        for shape in ((3, 5, 5), (2, 16, 13)):
+            a = rng.random(shape)
+            for g, k in zip(_sobel(a), (SOBEL_X, SOBEL_Y)):
+                for img, got in zip(a, g):
+                    assert np.abs(got - correlation_oracle(img, k)).max() < 1e-12
 
     def test_rejects_color_and_tiny_images(self):
+        with pytest.raises(ValueError, match="stack"):
+            _sobel(np.zeros((1, 4, 4, 3)))
         with pytest.raises(ValueError):
-            correlate_valid(np.zeros((4, 4, 3)), SOBEL_X)
-        with pytest.raises(ValueError):
-            correlate_valid(np.zeros((2, 5)), SOBEL_X)
+            _sobel(np.zeros((1, 2, 5)))
 
 
 class TestCorrelate1d:
@@ -185,9 +185,11 @@ class TestBlur:
     def test_windows_share_one_gaussian(self):
         k = gaussian_kernel1d(1.5)
         assert len(k) == 11 and abs(k.sum() - 1.0) < 1e-15
-        win = gaussian_window(11, 1.5)
+        win = gaussian_window1d(11, 1.5)
         assert abs(win.sum() - 1.0) < 1e-15
-        assert np.abs(win - np.outer(k, k)).max() < 1e-16
+        assert np.array_equal(win, k)  # the SSIM window is the sigma-1.5 blur kernel
+        taps = np.exp(-0.5 * ((np.arange(11) - 5.0) / 1.5) ** 2)
+        assert np.abs(win - taps / taps.sum()).max() < 1e-16
         with pytest.raises(ValueError):
             gaussian_kernel1d(0.0)
 
