@@ -196,9 +196,11 @@ def concat_cols(a, b) -> Node:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     n, c, h, w = x.shape
+    if pad:
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x, h, w = padded, h + 2 * pad, w + 2 * pad
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
@@ -287,15 +289,30 @@ def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
 # -- nonlinearities ------------------------------------------------------------------
 
 
+def check_slope(alpha, what: str = "leaky_relu slope") -> float:
+    """The slope as a float, if it lies in [0, 1] (see leaky_relu)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], got {alpha}")
+    return float(alpha)
+
+
 def leaky_relu(x, alpha: float = 0.2) -> Node:
+    """max(x, alpha x) with slope alpha in [0, 1]; the gradient is 1 where
+    x > 0 and alpha elsewhere. For such a slope the max equals the select
+    where(x > 0, x, alpha x) bit for bit, signed zeros and NaN included, at a
+    fraction of its cost. The one exception is alpha = 0 at x = +inf, where
+    0 * inf makes the max NaN."""
+    check_slope(alpha)
     x = _wrap(x)
     pos = x.value > 0
-    return Node(
-        np.where(pos, x.value, alpha * x.value),
-        (x,),
-        lambda g: (g * np.where(pos, 1.0, alpha),),
-        op="leaky_relu",
-    )
+    y = alpha * x.value
+    np.maximum(x.value, y, out=y)  # in place: a fresh output costs more than the max
+
+    def vjp(g):
+        slope = np.maximum(pos, alpha)
+        return (np.multiply(g, slope, out=slope),)
+
+    return Node(y, (x,), vjp, op="leaky_relu")
 
 
 def tanh(x) -> Node:

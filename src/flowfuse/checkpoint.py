@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import check_slope
+
 MAGIC = b"RFFZ"
 VERSION = 1
 
@@ -71,6 +73,7 @@ def load_codec_checkpoint(path):
     if "codec.meta" not in tensors:
         raise ValueError(f"{path}: not a codec checkpoint")
     in_ch, c1, c2, latent, alpha = tensors["codec.meta"]
+    check_slope(alpha, f"{path}: codec.meta leaky slope")
     return CodecParams(
         _unpack_paramset("codec.enc", tensors),
         _unpack_paramset("codec.dec", tensors),
@@ -96,6 +99,7 @@ def load_flow_checkpoint(path):
     if "flow.meta" not in tensors:
         raise ValueError(f"{path}: not a velocity-model checkpoint")
     dim, alpha = tensors["flow.meta"]
+    check_slope(alpha, f"{path}: flow.meta leaky slope")
     hidden = tuple(int(h) for h in tensors["flow.hidden"])
     widths = [int(dim) + 1, *hidden, int(dim)]
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):

@@ -58,7 +58,7 @@ class CodecParams:
         self.in_channels = int(in_channels)
         self.hidden = tuple(int(h) for h in hidden)
         self.latent_channels = int(latent_channels)
-        self.alpha = float(alpha)
+        self.alpha = ad.check_slope(alpha, "leaky slope alpha")
         self.freeze = freeze
 
     @staticmethod

@@ -1,6 +1,7 @@
 """Image type and pixel-domain primitives: histograms, Gaussian windows and
-blur, one valid-mode correlation (1-D along an axis: every window here is
-separable, so 2-D filters run as one pass per axis), BT.601 color conversion.
+blur (of one image, or of a stack of them in one pass), one valid-mode
+correlation (1-D along an axis: every window here is separable, so 2-D
+filters run as one pass per axis), BT.601 color conversion.
 
 Pixel values live in [0, 1] float64 everywhere; 8-bit I/O converts by /255
 and round(*255) at the file boundary (see imgio). Color images carry an
@@ -130,12 +131,28 @@ def correlate1d_valid(a: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
 
 
 def gaussian_blur(img, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur, replicate padding, kernel truncated at 3 sigma."""
-    a = as_gray(img)
+    """Separable Gaussian blur, replicate padding, kernel truncated at 3 sigma.
+
+    img is one gray image (an Image or a 2-D array) or a list or tuple of
+    same-shape 2-D arrays, blurred as one (n, H, W) stack and returned as
+    one. A 3-D array is rejected rather than read as a stack: an (H, W, 3)
+    color array has the same rank. Each image of a stack gets the bits its
+    own blur would.
+    """
+    stack = isinstance(img, (list, tuple)) and len(img) > 0 and np.ndim(img[0]) == 2
+    a = np.asarray(img, dtype=np.float64) if stack else as_gray(img)[None]
     k = gaussian_kernel1d(sigma)
     r = (len(k) - 1) // 2
-    rows = correlate1d_valid(np.pad(a, ((r, r), (0, 0)), mode="edge"), k, axis=0)
-    return correlate1d_valid(np.pad(rows, ((0, 0), (r, r)), mode="edge"), k, axis=1)
+    _, h, w = a.shape
+    # replicate padding: take the clipped index range -r .. size + r - 1
+    rows = correlate1d_valid(a.take(np.clip(np.arange(-r, h + r), 0, h - 1), axis=1), k, axis=1)
+    cols = rows.take(np.clip(np.arange(-r, w + r), 0, w - 1), axis=2)
+    # The column pass sees the stack as (n, W, H), so each BLAS matrix holds one
+    # image's (H, taps) windows, as in a lone blur: a stacked image gets the same
+    # bits. One (n * H, taps) matrix per column would not: the kernel's row
+    # blocking then rounds odd heights differently.
+    out = correlate1d_valid(cols.swapaxes(1, 2), k, axis=1).swapaxes(1, 2)
+    return out if stack else out[0]
 
 
 # -- color conversion ------------------------------------------------------------

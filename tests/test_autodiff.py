@@ -352,3 +352,49 @@ class TestCheckGradients:
         )
         assert rep.ok
         assert rep.inputs["x"]["checked"] <= 10
+
+
+# x holds signed zeros, NaN, infinities, subnormals and the float extremes
+_LEAKY_X = np.array([0.0, -0.0, 1.5, -1.5, np.nan, -np.nan, np.inf, -np.inf,
+                     5e-324, -5e-324, 1.7e308, -1.7e308])
+_LEAKY_G = np.array([1.0, -2.0, 3.0, np.nan, np.inf, -np.inf, 0.5, -0.0, 2.0, -0.0, 1.0, -1.0])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 1e-300])
+def test_leaky_relu_matches_the_select_bit_for_bit(alpha):
+    node = ad.leaky_relu(ad.leaf(_LEAKY_X), alpha)
+    select = np.where(_LEAKY_X > 0, _LEAKY_X, alpha * _LEAKY_X)
+    assert np.array_equal(_bits(node.value), _bits(select))
+    (dx,) = node.vjp(_LEAKY_G)
+    assert np.array_equal(_bits(dx), _bits(_LEAKY_G * np.where(_LEAKY_X > 0, 1.0, alpha)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_leaky_relu_at_slope_zero_differs_from_the_select_only_at_plus_inf():
+    node = ad.leaky_relu(ad.leaf(_LEAKY_X), 0.0)
+    select = np.where(_LEAKY_X > 0, _LEAKY_X, 0.0 * _LEAKY_X)
+    differ = _bits(node.value) != _bits(select)
+    assert list(_LEAKY_X[differ]) == [np.inf] and np.isnan(node.value[differ]).all()
+    (dx,) = node.vjp(_LEAKY_G)
+    assert np.array_equal(_bits(dx), _bits(_LEAKY_G * np.where(_LEAKY_X > 0, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("alpha", [-0.2, 1.5, np.nan])
+def test_leaky_relu_rejects_a_slope_outside_zero_one(alpha):
+    with pytest.raises(ValueError, match=r"slope must be in \[0, 1\]"):
+        ad.leaky_relu(ad.leaf(np.ones(3)), alpha)
+
+
+@pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (1, 2), (2, 0)])
+def test_conv2d_padding_matches_np_pad(stride, pad):
+    rng = np.random.default_rng(23)
+    x, w = rng.standard_normal((2, 3, 7, 6)), rng.standard_normal((4, 3, 3, 3))
+    ref = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    got = ad.conv2d(ad.leaf(x), ad.leaf(w), stride, pad)
+    want = ad.conv2d(ad.leaf(ref), ad.leaf(w), stride, 0)
+    assert np.array_equal(got.value, want.value)

@@ -121,3 +121,31 @@ def test_flow_checkpoint_wrong_shape_named(tmp_path):
     with pytest.raises(ValueError,
                        match=r"flow\.rffz.*flow\.params\.w0 has shape \(6, 5\), expected \(7, 5\)"):
         load_flow_checkpoint(p)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.2])
+def test_flow_checkpoint_slope_outside_zero_one_named(tmp_path, alpha):
+    from flowfuse.checkpoint import load_flow_checkpoint
+
+    _, p, tensors = _flow_tensors(tmp_path)
+    tensors["flow.meta"] = np.array([tensors["flow.meta"][0], alpha])
+    save_checkpoint(p, tensors)
+    want = rf"flow\.rffz: flow\.meta leaky slope must be in \[0, 1\], got {alpha}"
+    with pytest.raises(ValueError, match=want):
+        load_flow_checkpoint(p)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.2])
+def test_codec_checkpoint_slope_outside_zero_one_named(tmp_path, alpha):
+    from flowfuse.checkpoint import load_codec_checkpoint, save_codec_checkpoint
+    from flowfuse.codec import CodecParams
+
+    p = tmp_path / "codec.rffz"
+    save_codec_checkpoint(p, CodecParams.initialize(hidden=(4, 4), seed=0))
+    tensors = load_checkpoint(p)
+    assert load_codec_checkpoint(p).alpha == tensors["codec.meta"][-1] == 0.2
+    tensors["codec.meta"][-1] = alpha
+    save_checkpoint(p, tensors)
+    want = rf"codec\.rffz: codec\.meta leaky slope must be in \[0, 1\], got {alpha}"
+    with pytest.raises(ValueError, match=want):
+        load_codec_checkpoint(p)

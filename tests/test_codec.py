@@ -42,6 +42,11 @@ class TestShapes:
         with pytest.raises(ValueError, match="divisible by 4"):
             encode(p, np.zeros((30, 32)))
 
+    @pytest.mark.parametrize("alpha", [-0.2, 1.5])
+    def test_leaky_slope_outside_zero_one_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+            CodecParams.initialize(hidden=(4, 4), alpha=alpha)
+
     def test_bad_latent_rejected(self):
         p = CodecParams.initialize(hidden=(4, 4), seed=0)
         with pytest.raises(ValueError, match="latent"):

@@ -214,6 +214,16 @@ class TestEulerSample:
         b = euler_sample(model, f + delta, sched)[-1].data
         assert np.abs(b - (a + delta)).max() < 1e-12
 
+    def test_returned_states_share_no_memory(self):
+        f1 = np.array([0.0, 1.0])
+        traj = euler_sample(VelocityModel.constant(0.5), f1, SampleSchedule.uniform(4))
+        before = [s.data.copy() for s in traj]
+        traj[2].data[:] = 99.0
+        assert np.array_equal(f1, [0.0, 1.0])
+        for k, s in enumerate(traj):
+            if k != 2:
+                assert np.array_equal(s.data, before[k]), k
+
     def test_nonfinite_state_reports_step_index(self):
         bad = VelocityModel.constant(np.inf)
         with pytest.raises(FloatingPointError, match="step 0"):
@@ -278,3 +288,9 @@ class TestAnalyticGaussianVelocity:
         out = euler_sample(model, starts, SampleSchedule.uniform(200))[-1].data
         assert abs(out.mean() - mu0) < 0.02 * mu0
         assert abs(out.std() - s0) < 0.03 * s0
+
+
+@pytest.mark.parametrize("alpha", [-0.2, 1.5])
+def test_mlp_rejects_a_leaky_slope_outside_zero_one(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+        VelocityModel.mlp(dim=4, hidden=(3,), alpha=alpha)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowfuse.flow import SampleSchedule, VelocityModel, euler_sample
+from flowfuse.image import correlate1d_valid, gaussian_kernel1d
 from flowfuse.guidance import (
     GuidanceSpec,
     WeightMaps,
@@ -12,6 +13,33 @@ from flowfuse.guidance import (
     saliency_weights,
     weighted_target,
 )
+
+
+def old_blur(a, sigma):
+    """gaussian_blur as it was before stacks: np.pad, then one pass per axis."""
+    k = gaussian_kernel1d(sigma)
+    r = (len(k) - 1) // 2
+    rows = correlate1d_valid(np.pad(a, ((r, r), (0, 0)), mode="edge"), k, axis=0)
+    return correlate1d_valid(np.pad(rows, ((0, 0), (r, r)), mode="edge"), k, axis=1)
+
+
+def old_saliency(i, v):
+    """saliency_weights as it was: one blur per source; returns (w_v, w_ir)."""
+    s_ir = old_blur(np.abs(i - i.mean()), 3.0)
+    s_v = old_blur(np.abs(v - v.mean()), 3.0)
+    w_ir = (s_ir + 1e-8 / 2) / (s_ir + s_v + 1e-8)
+    return 1.0 - w_ir, w_ir
+
+
+def old_weighted_measurement(i, v):
+    """measurement_target's weighted target as it was: latent maps copied to
+    the full (C, H, W) shape."""
+    if i.ndim == 3:
+        w_v, w_ir = (np.broadcast_to(w, i.shape).copy()
+                     for w in old_saliency(i.mean(axis=0), v.mean(axis=0)))
+        return w_v * v + w_ir * i
+    w_v, w_ir = old_saliency(i, v)
+    return np.clip(w_v * v + w_ir * i, 0.0, 1.0)
 
 
 def blob_image(size=24, cx=12, cy=12, sigma=3.0, amp=0.8):
@@ -59,6 +87,14 @@ class TestSaliencyWeights:
         with pytest.raises(ValueError):
             saliency_weights(np.zeros((4, 4)), np.zeros((4, 5)))
 
+    def test_matches_one_blur_per_source_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for shape in ((8, 8), (9, 9), (16, 16), (17, 17), (12, 31), (32, 32), (3, 5)):
+            i, v = rng.random(shape), rng.random(shape)
+            w = saliency_weights(i, v)
+            w_v, w_ir = old_saliency(i, v)
+            assert np.array_equal(w.w_v, w_v) and np.array_equal(w.w_ir, w_ir), shape
+
 
 class TestWeightedTarget:
     def test_degenerate_weights(self):
@@ -91,6 +127,18 @@ class TestEmFusionPrior:
         f0 = (i + v) / 2.0  # symmetric responsibilities keep the blend at f0
         y = em_fusion_prior(f0, i, v, iters=5)
         assert np.abs(y - f0).max() < 1e-9
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_far_estimate_stays_finite_and_in_bounds(self, iters):
+        # |f0 - source| / scale beyond ~745 underflows both Laplace weights
+        y = em_fusion_prior(np.array([[80.0]]), np.array([[0.0]]), np.array([[1.0]]), iters)
+        assert np.isfinite(y).all() and 0.0 <= y[0, 0] <= 80.0
+        f0 = np.array([[-1e4, 80.0, 1e4, 0.5]])
+        i, v = np.array([[0.0, 0.0, 0.2, 0.3]]), np.array([[1.0, 1.0, 0.9, 0.7]])
+        y = em_fusion_prior(f0, i, v, iters)
+        assert np.isfinite(y).all()
+        assert np.all(y >= np.minimum(np.minimum(i, v), f0))
+        assert np.all(y <= np.maximum(np.maximum(i, v), f0))
 
     def test_output_within_convex_hull(self):
         rng = np.random.default_rng(7)
@@ -286,6 +334,17 @@ class TestMeasurementTarget:
         lo = np.minimum(z_i, z_v)
         hi = np.maximum(z_i, z_v)
         assert np.all(y >= lo - 1e-12) and np.all(y <= hi + 1e-12)
+
+    def test_weighted_target_matches_the_old_code_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        spec = GuidanceSpec(rho=1.0)
+        for shape in ((8, 8), (9, 13), (4, 8, 8), (4, 9, 9), (3, 16, 12)):
+            i, v = rng.standard_normal(shape), rng.standard_normal(shape)
+            if len(shape) == 2:  # pixel sources, with some outside [0, 1] for the clip
+                i, v = i * 0.3 + 0.5, v * 0.3 + 0.5
+            y = measurement_target(np.zeros(shape), i, v, spec)
+            assert y.shape == shape
+            assert np.array_equal(y, old_weighted_measurement(i, v)), shape
 
     def test_em_prior_measurement(self):
         rng = np.random.default_rng(20)

@@ -216,6 +216,29 @@ class TestBlur:
             assert got.shape == a.shape
             assert np.abs(got - self.tap_sum_oracle(a, sigma)).max() < 1e-12, (shape, sigma)
 
+    @pytest.mark.parametrize("sigma", [0.7, 2.0, 3.0, 32.0])
+    def test_a_stack_gets_the_bits_of_per_image_blurs(self, sigma):
+        rng = np.random.default_rng(15)
+        for shape in ((8, 8), (9, 9), (16, 16), (17, 17), (12, 31), (33, 8), (3, 5)):
+            imgs = [rng.random(shape) for _ in range(3)]
+            for stack in (imgs, tuple(imgs[:2])):
+                got = gaussian_blur(stack, sigma)
+                assert got.shape == (len(stack), *shape)
+                for img, out in zip(stack, got):
+                    assert np.array_equal(out, gaussian_blur(img, sigma)), (shape, sigma)
+
+    def test_color_and_3d_arrays_rejected(self):
+        rng = np.random.default_rng(16)
+        color = rng.random((8, 8, 3))
+        with pytest.raises(ValueError, match="gray image required"):
+            gaussian_blur(color, 1.0)
+        with pytest.raises(ValueError, match="gray image required"):
+            gaussian_blur(Image(color, "rgb"), 1.0)
+        with pytest.raises(ValueError, match="gray image required"):  # a stack goes in a list
+            gaussian_blur(rng.random((2, 8, 8)), 1.0)
+        with pytest.raises(ValueError, match="gray image required"):
+            gaussian_blur([color, color], 1.0)
+
     def test_smooths_a_spike(self):
         a = np.zeros((9, 9))
         a[4, 4] = 1.0
