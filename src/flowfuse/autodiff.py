@@ -12,8 +12,13 @@ accumulates adjoints. Primitives:
     the bounds, zero outside).
 
 conv2d, transposed conv2d and fft2 take a leading batch axis, so a batch of
-images runs as one graph. A vjp returns None for an operand that takes no
-gradient, and backward skips it.
+images runs as one graph.
+
+A leaf takes a gradient and a constant does not; an op node takes one iff
+one of its parents does. So a graph over frozen parameters or fixed data,
+such as a frozen encoder or the statistics of a constant image, carries no
+gradient, and backward walks only the nodes that do. A vjp returns None for
+an operand that takes no gradient, and backward skips it.
 
 Complex gradients are packed as dL/dRe + i*dL/dIm, so chaining through the
 linear DFT uses the conjugate-transposed transform exactly.
@@ -34,11 +39,13 @@ class Node:
 
     __slots__ = ("value", "parents", "vjp", "op", "requires_grad")
 
-    def __init__(self, value, parents=(), vjp=None, op="leaf", requires_grad=True):
+    def __init__(self, value, parents=(), vjp=None, op="leaf", requires_grad=False):
         self.value = np.asarray(value)
         self.parents = tuple(parents)
         self.vjp = vjp
         self.op = op
+        # an op node takes a gradient iff a parent does; only a node without
+        # parents (leaf or constant) says so itself
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in self.parents
         )
@@ -118,7 +125,8 @@ def add(a, b) -> Node:
     return Node(
         a.value + b.value,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                   _unbroadcast(g, b.shape) if b.requires_grad else None),
         op="add",
     )
 
@@ -128,7 +136,8 @@ def sub(a, b) -> Node:
     return Node(
         a.value - b.value,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                   _unbroadcast(-g, b.shape) if b.requires_grad else None),
         op="sub",
     )
 
@@ -138,10 +147,8 @@ def mul(a, b) -> Node:
     return Node(
         a.value * b.value,
         (a, b),
-        lambda g: (
-            _unbroadcast(g * b.value, a.shape),
-            _unbroadcast(g * a.value, b.shape),
-        ),
+        lambda g: (_unbroadcast(g * b.value, a.shape) if a.requires_grad else None,
+                   _unbroadcast(g * a.value, b.shape) if b.requires_grad else None),
         op="mul",
     )
 
@@ -152,8 +159,9 @@ def div(a, b) -> Node:
         a.value / b.value,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.value, a.shape),
-            _unbroadcast(-g * a.value / (b.value * b.value), b.shape),
+            _unbroadcast(g / b.value, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.value / (b.value * b.value), b.shape)
+            if b.requires_grad else None,
         ),
         op="div",
     )
@@ -195,12 +203,15 @@ def concat_cols(a, b) -> Node:
 # -- convolutions --------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad):
+    """Windows of x as (n, c·kh·kw, oh·ow), after pad = (rows, cols) zeros on
+    each side of the two spatial axes."""
     n, c, h, w = x.shape
-    if pad:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-        x, h, w = padded, h + 2 * pad, w + 2 * pad
+    ph, pw = pad
+    if ph or pw:
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+        x, h, w = padded, h + 2 * ph, w + 2 * pw
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
@@ -226,15 +237,45 @@ def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, pad: int):
 
 
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
-    """NCHW convolution (cross-correlation), weights (C_out, C_in, kh, kw)."""
+    """NCHW convolution (cross-correlation), weights (C_out, C_in, kh, kw).
+
+    pad zeros on each side, 0 <= pad < min(kh, kw), and the padded input
+    must hold at least one kernel window. The input gradient takes one of
+    two formulas, chosen by geometry:
+
+    - stride 1 and C_out <= C_in: the correlation of the output gradient,
+      padded by (kh-1-pad, kw-1-pad), with the kernel flipped in both
+      spatial axes and its channel axes swapped: one im2col of C_out·kh·kw
+      rows and one GEMM;
+    - otherwise (stride 2, or C_out > C_in): one GEMM into C_in·kh·kw rows of
+      windows, scattered back by kh·kw strided adds.
+
+    Each formula's cost is the rows of pixels it builds and moves: C_out·k²
+    for the correlation, C_in·k² plus the adds for the scatter. So the
+    correlation is taken where C_out <= C_in. At stride 2 it would have to
+    correlate an output gradient with zeros between its pixels, four times
+    the work, so the scatter stays.
+    """
     x, w = _wrap(x), _wrap(w)
     if stride not in (1, 2):
         raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
+    if x.value.ndim != 4 or w.value.ndim != 4:
+        raise ValueError(
+            f"conv2d expects a 4-D input and weight, got shapes {x.shape} and {w.shape}"
+        )
     n, c, h, wdt = x.value.shape
     cout, cin, kh, kw = w.value.shape
     if cin != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
-    cols, oh, ow = _im2col(x.value, kh, kw, stride, pad)
+    if not 0 <= pad < min(kh, kw):
+        raise ValueError(
+            f"conv2d pad must be in [0, {min(kh, kw)}) for a {kh}x{kw} kernel, got {pad}"
+        )
+    if h + 2 * pad < kh or wdt + 2 * pad < kw:
+        raise ValueError(
+            f"conv2d input {x.shape} padded by {pad} is smaller than the kernel {w.shape}"
+        )
+    cols, oh, ow = _im2col(x.value, kh, kw, stride, (pad, pad))
     wmat = w.value.reshape(cout, cin * kh * kw)
     out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     if not w.requires_grad:
@@ -243,10 +284,16 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
     def vjp(g):
         # no product for an operand that takes no gradient (backward skips None)
         gmat = g.reshape(n, cout, oh * ow)
-        dx = (_col2im(np.matmul(wmat.T, gmat), x.value.shape, kh, kw, stride, pad)
-              if x.requires_grad else None)
-        dw = (np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.value.shape)
-              if w.requires_grad else None)
+        dx = dw = None
+        if x.requires_grad and stride == 1 and cout <= cin:
+            gcols, _, _ = _im2col(g.reshape(n, cout, oh, ow), kh, kw, 1,
+                                  (kh - 1 - pad, kw - 1 - pad))
+            wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx = np.matmul(wflip.reshape(cin, cout * kh * kw), gcols).reshape(x.shape)
+        elif x.requires_grad:
+            dx = _col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, pad)
+        if w.requires_grad:
+            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return dx, dw
 
     return Node(out, (x, w), vjp, op="conv2d")
@@ -261,6 +308,8 @@ def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
     x, w = _wrap(x), _wrap(w)
     if stride not in (1, 2):
         raise ValueError(f"transposed_conv2d stride must be 1 or 2, got {stride}")
+    if pad < 0:
+        raise ValueError(f"transposed_conv2d pad must be >= 0, got {pad}")
     n, cin, h, wdt = x.value.shape
     wcin, cout, kh, kw = w.value.shape
     if wcin != cin:
@@ -278,9 +327,10 @@ def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
     out = _col2im(dcols, (n, cout, oh, ow), kh, kw, stride, pad)
 
     def vjp(g):
-        gcols, _, _ = _im2col(g, kh, kw, stride, pad)
-        dx = np.matmul(wmat, gcols).reshape(x.value.shape)
-        dw = np.matmul(xmat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.value.shape)
+        gcols, _, _ = _im2col(g, kh, kw, stride, (pad, pad))
+        dx = np.matmul(wmat, gcols).reshape(x.shape) if x.requires_grad else None
+        dw = (np.matmul(xmat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+              if w.requires_grad else None)
         return dx, dw
 
     return Node(out, (x, w), vjp, op="tconv2d")
@@ -443,7 +493,9 @@ def minmax_normalize(x) -> Node:
 
 
 def topo_order(output: Node) -> list[Node]:
-    """Parents-first ordering of the DAG reachable from output (iterative DFS)."""
+    """Parents-first ordering of the nodes that take a gradient and reach
+    output (iterative DFS). Every path from such a node to output passes only
+    through such nodes, so no gradient is lost by not entering the others."""
     order, seen = [], set()
     stack = [(output, False)]
     while stack:
@@ -456,7 +508,7 @@ def topo_order(output: Node) -> list[Node]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -464,11 +516,15 @@ def topo_order(output: Node) -> list[Node]:
 def backward(output: Node, wrt) -> dict:
     """Adjoints of a scalar output with respect to the requested nodes.
 
+    Every requested node must take a gradient and be part of output's graph.
     Returns {node: gradient array}; forward values are left untouched.
     """
     if output.value.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
     wrt = list(wrt)
+    for node in wrt:
+        if not node.requires_grad:
+            raise ValueError(f"requested node {node!r} takes no gradient")
     order = topo_order(output)
     in_graph = {id(n) for n in order}
     for node in wrt:

@@ -201,16 +201,28 @@ def _ssim_filter(x: ad.Node) -> ad.Node:
     return ad.conv2d(ad.conv2d(x, _SSIM_K[None, None, None, :]), _SSIM_K[None, None, :, None])
 
 
-def _ssim_node(a: ad.Node, b: ad.Node) -> ad.Node:
-    """Mean local SSIM (11x11 Gaussian window, sigma 1.5, L = 1, valid mode)
-    between (n, 1, H, W) nodes, over all n images."""
-    h, w = a.value.shape[-2:]
+def _ssim_moments(x: ad.Node):
+    """The window means of x and of x·x: the statistics SSIM takes from one
+    (n, 1, H, W) image node alone."""
+    h, w = x.value.shape[-2:]
     if h < _SSIM_WIN or w < _SSIM_WIN:
         raise ValueError(f"SSIM needs at least {_SSIM_WIN}x{_SSIM_WIN} pixels, got {h}x{w}")
-    mu_a = _ssim_filter(a)
-    mu_b = _ssim_filter(b)
-    var_a = _ssim_filter(a * a) - mu_a * mu_a
-    var_b = _ssim_filter(b * b) - mu_b * mu_b
+    return _ssim_filter(x), _ssim_filter(x * x)
+
+
+def _ssim_node(a: ad.Node, b: ad.Node, a_moments) -> ad.Node:
+    """Mean local SSIM (11x11 Gaussian window, sigma 1.5, L = 1, valid mode)
+    between (n, 1, H, W) nodes, over all n images.
+
+    a_moments is _ssim_moments(a), passed in so that several comparisons
+    against one image share its filtered mean and square: the fusion loss
+    compares the fused image with both sources and filters it once. Only b's
+    moments and the cross term a·b are filtered here.
+    """
+    mu_a, sq_a = a_moments
+    mu_b, sq_b = _ssim_moments(b)
+    var_a = sq_a - mu_a * mu_a
+    var_b = sq_b - mu_b * mu_b
     cov = _ssim_filter(a * b) - mu_a * mu_b
     num = (mu_a * mu_b * 2.0 + _SSIM_C1) * (cov * 2.0 + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
@@ -253,7 +265,9 @@ def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeight
         terms["intensity"] = ad.reduce_mean(ad.absolute(f - target))
     if w.ssim:
         two = ad.constant(np.asarray(2.0))
-        terms["ssim"] = two - _ssim_node(f, ad.constant(i4)) - _ssim_node(f, ad.constant(v4))
+        f_moments = _ssim_moments(f)
+        terms["ssim"] = (two - _ssim_node(f, ad.constant(i4), f_moments)
+                         - _ssim_node(f, ad.constant(v4), f_moments))
     if w.grad:
         gxf, gyf = _sobel_pair(f)
         tx, ty = (ad.constant(np.maximum(np.abs(gi), np.abs(gv))[:, None])

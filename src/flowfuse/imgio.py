@@ -91,6 +91,9 @@ def _unfilter(raw: bytes, h: int, w: int, nch: int) -> np.ndarray:
 
 
 def read_png(path) -> Image:
+    """Read an 8-bit gray or RGB PNG. A chunk that runs past the end of the
+    file or fails its CRC, and IDAT data that does not inflate to exactly the
+    scanlines IHDR promises, are ValueErrors naming the path and the chunk."""
     blob = Path(path).read_bytes()
     if blob[:8] != _PNG_SIG:
         raise ValueError(f"{path}: not a PNG file")
@@ -98,11 +101,23 @@ def read_png(path) -> Image:
     ihdr = None
     idat = b""
     while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos : pos + 4])
-        tag = blob[pos + 4 : pos + 8]
-        payload = blob[pos + 8 : pos + 8 + length]
-        pos += 12 + length
+        if pos + 8 > len(blob):
+            raise ValueError(f"{path}: truncated chunk header at byte {pos}")
+        length, tag = struct.unpack(">I4s", blob[pos : pos + 8])
+        end = pos + 12 + length
+        if end > len(blob):
+            raise ValueError(
+                f"{path}: chunk {tag!r} at byte {pos} claims {length} bytes, "
+                f"past the end of the {len(blob)}-byte file"
+            )
+        payload = blob[pos + 8 : end - 4]
+        (crc,) = struct.unpack(">I", blob[end - 4 : end])
+        if zlib.crc32(payload, zlib.crc32(tag)) != crc:
+            raise ValueError(f"{path}: CRC mismatch in chunk {tag!r} at byte {pos}")
+        pos = end
         if tag == b"IHDR":
+            if length != 13:
+                raise ValueError(f"{path}: chunk b'IHDR' has {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload
@@ -117,7 +132,19 @@ def read_png(path) -> Image:
             f"(depth={depth}, color_type={color_type}, interlace={interlace})"
         )
     nch = 1 if color_type == 0 else 3
-    data = _unfilter(zlib.decompress(idat), h, w, nch)
+    size = h * (1 + w * nch)
+    try:
+        # at most one byte past the promised size: enough to tell that it is too long
+        raw = zlib.decompressobj().decompress(idat, size + 1)
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt data in chunk b'IDAT': {exc}") from exc
+    if len(raw) != size:
+        got = f"more than {size}" if len(raw) > size else len(raw)
+        raise ValueError(
+            f"{path}: chunk b'IDAT' inflates to {got} bytes, but IHDR's {w}x{h} "
+            f"with {nch} channel(s) needs {size}"
+        )
+    data = _unfilter(raw, h, w, nch)
     if nch == 1:
         return from_bytes_u8(data.reshape(h, w))
     return from_bytes_u8(data.reshape(h, w, 3), RGB)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowfuse import autodiff as ad
 
@@ -122,11 +123,22 @@ def test_concat_cols_gradients():
         ad.concat_cols(np.ones((2, 3)), np.ones((3, 1)))
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-def test_conv2d_gradients(stride, pad):
+# (stride, pad, C_in, C_out, kh, kw): 3 -> 4 channels takes the scatter input
+# gradient; C_out <= C_in at stride 1 takes the correlation
+@pytest.mark.parametrize("stride,pad,cin,cout,kh,kw", [
+    pytest.param(1, 0, 3, 4, 3, 3, id="1-0"),
+    pytest.param(1, 1, 3, 4, 3, 3, id="1-1"),
+    pytest.param(2, 1, 3, 4, 3, 3, id="2-1"),
+    pytest.param(1, 1, 4, 2, 3, 3, id="1-1-cout<cin"),
+    pytest.param(1, 2, 3, 3, 3, 3, id="1-2-cout=cin"),
+    pytest.param(2, 1, 4, 2, 3, 3, id="2-1-cout<cin"),
+    pytest.param(1, 0, 2, 1, 1, 5, id="1-0-row-kernel"),
+    pytest.param(1, 0, 1, 1, 5, 1, id="1-0-column-kernel"),
+])
+def test_conv2d_gradients(stride, pad, cin, cout, kh, kw):
     rng = np.random.default_rng(2)
-    x0 = rng.standard_normal((2, 3, 6, 6))
-    w0 = rng.standard_normal((4, 3, 3, 3)) * 0.4
+    x0 = rng.standard_normal((2, cin, 6, 6))
+    w0 = rng.standard_normal((cout, cin, kh, kw)) * 0.4
 
     def f_x(x):
         return float(ad.reduce_sum(
@@ -398,3 +410,142 @@ def test_conv2d_padding_matches_np_pad(stride, pad):
     got = ad.conv2d(ad.leaf(x), ad.leaf(w), stride, pad)
     want = ad.conv2d(ad.leaf(ref), ad.leaf(w), stride, 0)
     assert np.array_equal(got.value, want.value)
+
+
+# -- which nodes take a gradient ---------------------------------------------------------
+
+
+def test_ops_on_constants_take_no_gradient():
+    c = ad.constant(np.ones((1, 1, 5, 5)))
+    k = ad.constant(np.ones((1, 1, 3, 3)))
+    x = ad.leaf(np.ones((1, 1, 5, 5)))
+    for node in (c + 1.0, c * c, ad.conv2d(c, k), ad.tanh(c), ad.reduce_mean(c - c),
+                 ad.minmax_normalize(c / 2.0)):
+        assert not node.requires_grad, node
+    for node in (x + c, c * x, ad.conv2d(x, k), ad.conv2d(c, ad.leaf(k.value)), x - 1.0):
+        assert node.requires_grad, node
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_elementwise_vjps_skip_an_operand_that_takes_no_gradient(op):
+    rng = np.random.default_rng(24)
+    a0, b0 = rng.standard_normal((3, 4)) + 3.0, rng.standard_normal(4) + 3.0
+    g = rng.standard_normal((3, 4))
+    ga_leaf, gb_leaf = op(ad.leaf(a0), ad.leaf(b0)).vjp(g)
+    ga, gb = op(ad.leaf(a0), ad.constant(b0)).vjp(g)
+    assert gb is None and np.array_equal(ga, ga_leaf)
+    ga, gb = op(ad.constant(a0), ad.leaf(b0)).vjp(g)
+    assert ga is None and np.array_equal(gb, gb_leaf)
+
+
+def test_backward_rejects_a_node_that_takes_no_gradient():
+    x = ad.leaf(np.ones(3))
+    c = ad.constant(np.ones(3))
+    with pytest.raises(ValueError, match="takes no gradient"):
+        ad.backward(ad.reduce_sum(x * c), [x, c])
+
+
+# -- the two input-gradient formulas of conv2d ---------------------------------------------
+
+
+def _scatter_dx(g, w, xshape, stride, pad):
+    """conv2d's input gradient as one GEMM into window rows, scattered back
+    onto the padded input by kh·kw strided adds."""
+    n, c, h, wd = xshape
+    cout, cin, kh, kw = w.shape
+    oh, ow = g.shape[-2:]
+    rows = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, oh * ow))
+    d6 = rows.reshape(n, c, kh, kw, oh, ow)
+    out = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += d6[:, :, i, j]
+    return out[:, :, pad : pad + h, pad : pad + wd]
+
+
+# (n, C_in, C_out, H, W, kh, kw, pad), all at stride 1 with C_out <= C_in
+CORRELATION_CASES = {
+    "3x3 pad 0": (1, 5, 2, 7, 9, 3, 3, 0),
+    "3x3 pad 1": (4, 5, 2, 9, 6, 3, 3, 1),
+    "3x3 pad 2": (1, 3, 3, 5, 8, 3, 3, 2),
+    "1x11 pad 0": (4, 1, 1, 13, 17, 1, 11, 0),
+    "11x1 pad 0": (1, 1, 1, 15, 12, 11, 1, 0),
+    "1x11 cout<cin": (2, 3, 2, 11, 14, 1, 11, 0),
+    "3x3 one channel": (4, 1, 1, 9, 5, 3, 3, 1),
+    "encoder layer 3": (8, 48, 4, 8, 8, 3, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", CORRELATION_CASES.values(), ids=CORRELATION_CASES.keys())
+def test_conv2d_correlation_dx_matches_the_scatter(case):
+    n, cin, cout, h, wd, kh, kw, pad = case
+    rng = np.random.default_rng(25)
+    x0 = rng.standard_normal((n, cin, h, wd))
+    w0 = rng.standard_normal((cout, cin, kh, kw))
+    node = ad.conv2d(ad.leaf(x0), ad.constant(w0), 1, pad)
+    g = rng.standard_normal(node.shape)
+    dx, _ = node.vjp(g)
+    want = _scatter_dx(g, w0, x0.shape, 1, pad)
+    assert dx.shape == x0.shape
+    assert np.abs(dx - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("stride, cin, cout", [(2, 4, 2), (2, 2, 4), (1, 2, 4)])
+def test_conv2d_keeps_the_scatter_for_stride_2_or_more_outputs(stride, cin, cout):
+    rng = np.random.default_rng(26)
+    x0 = rng.standard_normal((2, cin, 8, 7))
+    w0 = rng.standard_normal((cout, cin, 3, 3))
+    node = ad.conv2d(ad.leaf(x0), ad.constant(w0), stride, 1)
+    g = rng.standard_normal(node.shape)
+    assert np.array_equal(node.vjp(g)[0], _scatter_dx(g, w0, x0.shape, stride, 1))
+
+
+@st.composite
+def _conv_geometry(draw):
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = draw(st.integers(0, min(kh, kw) - 1))
+    h = draw(st.integers(max(1, kh - 2 * pad), 9))
+    w = draw(st.integers(max(1, kw - 2 * pad), 9))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            h, w, kh, kw, draw(st.sampled_from((1, 2))), pad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_conv_geometry(), seed=st.integers(0, 2**32 - 1))
+def test_conv2d_vjp_is_the_adjoint(geometry, seed):
+    # conv2d is bilinear, so <conv2d(x, w), g> = <x, dx> = <w, dw>
+    n, cin, cout, h, wd, kh, kw, stride, pad = geometry
+    rng = np.random.default_rng(seed)
+    x0, w0 = rng.standard_normal((n, cin, h, wd)), rng.standard_normal((cout, cin, kh, kw))
+    node = ad.conv2d(ad.leaf(x0), ad.leaf(w0), stride, pad)
+    g = rng.standard_normal(node.shape)
+    dx, dw = node.vjp(g)
+    lhs = np.vdot(node.value, g)
+    scale = np.abs(node.value).sum() * np.abs(g).max() + 1e-300
+    assert abs(lhs - np.vdot(x0, dx)) <= 1e-12 * scale
+    assert abs(lhs - np.vdot(w0, dw)) <= 1e-12 * scale
+
+
+# -- rejected geometries -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("xshape, wshape, pad, match", [
+    ((1, 1, 8, 8), (1, 1, 3, 3), -1, r"pad must be in \[0, 3\) for a 3x3 kernel, got -1"),
+    ((1, 1, 8, 8), (1, 1, 3, 3), 3, r"pad must be in \[0, 3\) for a 3x3 kernel, got 3"),
+    ((1, 1, 8, 16), (1, 1, 1, 11), 1, r"pad must be in \[0, 1\) for a 1x11 kernel, got 1"),
+    ((1, 1, 2, 2), (1, 1, 3, 3), 0, r"input \(1, 1, 2, 2\) padded by 0 is smaller than the "
+                                    r"kernel \(1, 1, 3, 3\)"),
+    ((1, 8, 8), (1, 1, 3, 3), 0, r"4-D input and weight, got shapes \(1, 8, 8\) and "
+                                 r"\(1, 1, 3, 3\)"),
+    ((1, 1, 8, 8), (3, 3), 0, r"4-D input and weight, got shapes \(1, 1, 8, 8\) and \(3, 3\)"),
+], ids=["negative pad", "pad at kernel size", "pad past a 1-D kernel", "input below kernel",
+        "3-D input", "2-D weight"])
+def test_conv2d_rejects_a_bad_geometry(xshape, wshape, pad, match):
+    with pytest.raises(ValueError, match=match):
+        ad.conv2d(ad.leaf(np.ones(xshape)), ad.leaf(np.ones(wshape)), 1, pad)
+
+
+def test_transposed_conv2d_rejects_a_negative_pad():
+    with pytest.raises(ValueError, match="pad must be >= 0, got -1"):
+        ad.transposed_conv2d(ad.leaf(np.ones((1, 1, 2, 2))), ad.leaf(np.ones((1, 1, 3, 3))),
+                             2, -1, (8, 8))

@@ -462,3 +462,72 @@ class TestBatchedSteps:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 25.96 * 2**20, peak / 2**20
+
+
+def _two_call_ssim(a, b):
+    """Tape SSIM that filters both images itself, once per call."""
+    from flowfuse import autodiff as ad
+    from flowfuse.codec import _ssim_filter
+
+    mu_a, mu_b = _ssim_filter(a), _ssim_filter(b)
+    var_a = _ssim_filter(a * a) - mu_a * mu_a
+    var_b = _ssim_filter(b * b) - mu_b * mu_b
+    cov = _ssim_filter(a * b) - mu_a * mu_b
+    num = (mu_a * mu_b * 2.0 + 0.01**2) * (cov * 2.0 + 0.03**2)
+    den = (mu_a * mu_a + mu_b * mu_b + 0.01**2) * (var_a + var_b + 0.03**2)
+    return ad.reduce_mean(num / den)
+
+
+def test_ssim_term_shares_the_fused_moments_with_the_same_value():
+    from flowfuse import autodiff as ad
+    from flowfuse.codec import _decode_nodes, _fusion_loss_nodes, _leaf_getter
+
+    p = CodecParams.initialize(hidden=(4, 6), seed=27)
+    i3, v3 = np.stack(textures(3, 16, 27)), np.stack(textures(3, 16, 28))
+    z = np.stack([encode(p, v).data for v in v3])
+    w = LossWeights(intensity=0, grad=0, mask=0)
+
+    def ssim_term(shared):
+        get_d, dec = _leaf_getter(p.decoder)
+        f = _decode_nodes(get_d, p, ad.constant(z))
+        if shared:
+            term = _fusion_loss_nodes(f, i3, v3, w, None)["ssim"]
+        else:
+            term = (ad.constant(np.asarray(2.0)) - _two_call_ssim(f, ad.constant(i3[:, None]))
+                    - _two_call_ssim(f, ad.constant(v3[:, None])))
+        grads = ad.backward(term, list(dec.values()))
+        return term.value, {k: grads[n] for k, n in dec.items()}
+
+    value, grads = ssim_term(shared=True)
+    want, want_grads = ssim_term(shared=False)
+    assert value == want  # the same products in the same order: bit for bit
+    for k, g in grads.items():
+        # the shared moments sum their two adjoints before one filter pass
+        assert np.abs(g - want_grads[k]).max() <= 1e-12 * np.abs(want_grads[k]).max(), k
+
+
+def test_stage2_backward_calls_no_vjp_of_the_frozen_encoder(monkeypatch):
+    from flowfuse import autodiff as ad
+    from flowfuse import codec as codec_mod
+
+    encoder_nodes, called = [], []
+    real_encode = codec_mod._encode_nodes
+
+    def encode_and_spy(get, p, x):
+        z = real_encode(get, p, x)
+        stack = [z]
+        while stack:
+            node = stack.pop()
+            if node.vjp is not None and all(node is not e for e in encoder_nodes):
+                encoder_nodes.append(node)
+                node.vjp = (lambda vjp: lambda g: called.append(1) or vjp(g))(node.vjp)
+                stack.extend(node.parents)
+        return z
+
+    monkeypatch.setattr(codec_mod, "_encode_nodes", encode_and_spy)
+    p = CodecParams.initialize(hidden=(4, 6), seed=29).with_freeze("encoder")
+    pairs = [(textures(1, 16, 29)[0], textures(1, 16, 30)[0])]
+    stage2_step(p, pairs, LossWeights())
+    assert sum(n.op == "conv2d" for n in encoder_nodes) == 3
+    assert not any(n.requires_grad for n in encoder_nodes)
+    assert called == []
