@@ -1,7 +1,7 @@
 """flowfuse: one-step flow-based image fusion at desk scale.
 
 Submodules:
-    tensor     strict dense tensors (real64 / complex128)
+    tensor     Tensor, the float64 array that encode and the sampler return
     fft        2-D DFT on np.fft with power-of-two padding, adjoint
     image      Image type, histograms, Gaussian windows and blur,
                valid correlation, BT.601 conversion
@@ -20,6 +20,6 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
-__all__ = ["Tensor", "as_tensor", "__version__"]
+__all__ = ["Tensor", "__version__"]

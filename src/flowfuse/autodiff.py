@@ -6,7 +6,7 @@ rebuilt per step; backward() walks the DAG in reverse topological order and
 accumulates adjoints. Primitives:
 
     add, sub, mul, div, matmul, column concat, conv2d (stride 1|2),
-    transposed conv2d, leaky_relu, tanh, exp, log1p, abs (subgradient 0 at 0),
+    transposed conv2d, leaky_relu, tanh, log1p, abs (subgradient 0 at 0),
     sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
     normalize (per slice over the trailing two axes), clamp (identity inside
     the bounds, zero outside).
@@ -62,14 +62,8 @@ class Node:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -79,15 +73,6 @@ class Node:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def leaf(value) -> Node:
@@ -310,6 +295,10 @@ def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
         raise ValueError(f"transposed_conv2d stride must be 1 or 2, got {stride}")
     if pad < 0:
         raise ValueError(f"transposed_conv2d pad must be >= 0, got {pad}")
+    if x.value.ndim != 4 or w.value.ndim != 4:
+        raise ValueError(
+            f"transposed_conv2d expects a 4-D input and weight, got shapes {x.shape} and {w.shape}"
+        )
     n, cin, h, wdt = x.value.shape
     wcin, cout, kh, kw = w.value.shape
     if wcin != cin:
@@ -369,12 +358,6 @@ def tanh(x) -> Node:
     x = _wrap(x)
     y = np.tanh(x.value)
     return Node(y, (x,), lambda g: (g * (1.0 - y * y),), op="tanh")
-
-
-def exp(x) -> Node:
-    x = _wrap(x)
-    y = np.exp(x.value)
-    return Node(y, (x,), lambda g: (g * y,), op="exp")
 
 
 def log1p(x) -> Node:

@@ -37,22 +37,31 @@ def _pack_paramset(prefix: str, pset, out: dict) -> None:
         out[f"{prefix}.{k}.v"] = pset.v[k]
 
 
-def _unpack_paramset(prefix: str, tensors: dict):
+def _unpack_paramset(path, prefix: str, tensors: dict, shapes: dict):
+    """The ParamSet saved under prefix, whose parameters must be exactly
+    shapes (name -> shape, in parameter order), each with its two Adam moments
+    of the same shape. A missing tensor, a wrong shape, and a tensor under
+    prefix that is none of these are ValueErrors naming the path and tensor."""
     from .optim import ParamSet
 
-    params, m, v = {}, {}, {}
-    for key, arr in tensors.items():
-        if not key.startswith(prefix + ".") or key == f"{prefix}.step":
-            continue
-        name = key[len(prefix) + 1 :]
-        if name.endswith(".m"):
-            m[name[:-2]] = arr
-        elif name.endswith(".v"):
-            v[name[:-2]] = arr
-        else:
-            params[name] = arr
-    step = int(tensors[f"{prefix}.step"])
-    return ParamSet(params, m, v, step)
+    want = {f"{prefix}.step": ()}
+    for name, shape in shapes.items():
+        for suffix in ("", ".m", ".v"):
+            want[f"{prefix}.{name}{suffix}"] = tuple(shape)
+    for key, shape in want.items():
+        if key not in tensors:
+            raise ValueError(f"{path}: missing tensor {key}")
+        if tensors[key].shape != shape:
+            raise ValueError(f"{path}: tensor {key} has shape {tensors[key].shape}, "
+                             f"expected {shape}")
+    for key in tensors:
+        if key.startswith(prefix + ".") and key not in want:
+            raise ValueError(f"{path}: unexpected tensor {key}")
+
+    def part(suffix):
+        return {name: tensors[f"{prefix}.{name}{suffix}"] for name in shapes}
+
+    return ParamSet(part(""), part(".m"), part(".v"), int(tensors[f"{prefix}.step"]))
 
 
 def save_codec_checkpoint(path, codec) -> None:
@@ -67,17 +76,19 @@ def save_codec_checkpoint(path, codec) -> None:
 
 
 def load_codec_checkpoint(path):
-    from .codec import CodecParams
+    from .codec import CodecParams, param_shapes
 
     tensors = load_checkpoint(path)
     if "codec.meta" not in tensors:
         raise ValueError(f"{path}: not a codec checkpoint")
     in_ch, c1, c2, latent, alpha = tensors["codec.meta"]
     check_slope(alpha, f"{path}: codec.meta leaky slope")
+    hidden = (int(c1), int(c2))
+    enc_shapes, dec_shapes = param_shapes(int(in_ch), hidden, int(latent))
     return CodecParams(
-        _unpack_paramset("codec.enc", tensors),
-        _unpack_paramset("codec.dec", tensors),
-        int(in_ch), (int(c1), int(c2)), int(latent), float(alpha),
+        _unpack_paramset(path, "codec.enc", tensors, enc_shapes),
+        _unpack_paramset(path, "codec.dec", tensors, dec_shapes),
+        int(in_ch), hidden, int(latent), float(alpha),
     )
 
 
@@ -102,16 +113,12 @@ def load_flow_checkpoint(path):
     check_slope(alpha, f"{path}: flow.meta leaky slope")
     hidden = tuple(int(h) for h in tensors["flow.hidden"])
     widths = [int(dim) + 1, *hidden, int(dim)]
+    shapes = {}
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
-            key = f"flow.params.{name}"
-            if key not in tensors:
-                raise ValueError(f"{path}: missing tensor {key}")
-            if tensors[key].shape != shape:
-                raise ValueError(f"{path}: tensor {key} has shape {tensors[key].shape}, "
-                                 f"expected {shape}")
-    return VelocityModel("mlp", _unpack_paramset("flow.params", tensors), dim=int(dim),
-                         hidden=hidden, alpha=float(alpha))
+        shapes[f"w{i}"] = (fan_in, fan_out)
+        shapes[f"b{i}"] = (fan_out,)
+    return VelocityModel("mlp", _unpack_paramset(path, "flow.params", tensors, shapes),
+                         dim=int(dim), hidden=hidden, alpha=float(alpha))
 
 
 def save_checkpoint(path, tensors: dict) -> None:

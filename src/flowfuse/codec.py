@@ -20,8 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .image import Image, as_gray, correlate1d_valid, gaussian_window1d
+from .image import Image, as_gray, correlate1d_valid
 from .guidance import WeightMaps, saliency_weights, weighted_target
+from .metrics import SSIM_WIN, SSIM_WINDOW, ssim_map
 from .optim import ParamSet, adam_step
 from .tensor import Tensor, as_array
 
@@ -36,7 +37,7 @@ class LossWeights:
     intensity: float = 1.0
     ssim: float = 1.0
     grad: float = 1.0
-    color: float = 0.5
+    color: float = 0.5  # no term reads it: training runs on luma alone
     mask: float = 1.0
 
     def __post_init__(self):
@@ -44,6 +45,19 @@ class LossWeights:
             v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"loss weight {f.name} must be finite and >= 0, got {v}")
+
+
+def param_shapes(in_channels, hidden, latent_channels):
+    """(encoder, decoder) parameter shapes, name -> shape, in parameter order."""
+    c1, c2 = hidden
+    k = (_K, _K)
+    enc = {"w0": (c1, in_channels, *k), "b0": (c1, 1, 1),
+           "w1": (c2, c1, *k), "b1": (c2, 1, 1),
+           "w2": (latent_channels, c2, *k), "b2": (latent_channels, 1, 1)}
+    dec = {"w0": (c2, latent_channels, *k), "b0": (c2, 1, 1),
+           "w1": (c2, c1, *k), "b1": (c1, 1, 1),
+           "w2": (c1, in_channels, *k), "b2": (in_channels, 1, 1)}
+    return enc, dec
 
 
 class CodecParams:
@@ -65,29 +79,20 @@ class CodecParams:
     def initialize(in_channels=1, hidden=(32, 64), latent_channels=4, alpha=0.2,
                    seed=0) -> "CodecParams":
         rng = np.random.default_rng(seed)
-        c1, c2 = hidden
+        enc_shapes, dec_shapes = param_shapes(in_channels, hidden, latent_channels)
 
-        def conv_w(cout, cin):
-            std = np.sqrt(2.0 / (cin * _K * _K))
-            return rng.standard_normal((cout, cin, _K, _K)) * std
+        def he(shape, fan_in):
+            return rng.standard_normal(shape) * np.sqrt(2.0 / (fan_in * _K * _K))
 
-        def tconv_w(cin, cout):
-            std = np.sqrt(2.0 / (cin * _K * _K))
-            return rng.standard_normal((cin, cout, _K, _K)) * std
-
-        enc = ParamSet({
-            "w0": conv_w(c1, in_channels), "b0": np.zeros((c1, 1, 1)),
-            "w1": conv_w(c2, c1), "b1": np.zeros((c2, 1, 1)),
-            "w2": conv_w(latent_channels, c2), "b2": np.zeros((latent_channels, 1, 1)),
-        })
-        dec = ParamSet({
-            "w0": conv_w(c2, latent_channels), "b0": np.zeros((c2, 1, 1)),
-            "w1": tconv_w(c2, c1), "b1": np.zeros((c1, 1, 1)),
-            "w2": tconv_w(c1, in_channels),
-            # mid-range output at init so the clamp does not start saturated
-            "b2": np.full((in_channels, 1, 1), 0.5),
-        })
-        return CodecParams(enc, dec, in_channels, hidden, latent_channels, alpha)
+        # a conv weight is (C_out, C_in, k, k); the decoder's w1 and w2 are
+        # transposed, (C_in, C_out, k, k)
+        enc = {k: he(s, s[1]) if k[0] == "w" else np.zeros(s) for k, s in enc_shapes.items()}
+        dec = {k: he(s, s[1] if k == "w0" else s[0]) if k[0] == "w" else np.zeros(s)
+               for k, s in dec_shapes.items()}
+        # mid-range output at init so the clamp does not start saturated
+        dec["b2"] = np.full(dec_shapes["b2"], 0.5)
+        return CodecParams(ParamSet(enc), ParamSet(dec), in_channels, hidden, latent_channels,
+                           alpha)
 
     def with_freeze(self, freeze: str) -> "CodecParams":
         return CodecParams(self.encoder, self.decoder, self.in_channels, self.hidden,
@@ -155,27 +160,19 @@ def decode(p: CodecParams, z) -> Image:
 
 def _log_spectrum_node(img_node: ad.Node) -> ad.Node:
     """Min-max-normalized log(1 + |DFT|) of each image, without the center
-    shift (see freq_loss)."""
+    shift (see _freq_loss_node)."""
     return ad.minmax_normalize(ad.log1p(ad.complex_magnitude(ad.fft2(img_node))))
 
 
 def _freq_loss_node(a: ad.Node, b: ad.Node) -> ad.Node:
-    d = _log_spectrum_node(a) - _log_spectrum_node(b)
-    return ad.reduce_mean(d * d)
+    """Mean squared difference of the normalized log-magnitude spectra of
+    the images in a and b, on the power-of-two padded grid.
 
-
-def freq_loss(x, xr) -> float:
-    """Mean squared difference of normalized, center-shifted log-magnitude
-    spectra of the two images (gray, or color averaged to one channel).
-
-    Spectra are compared on the power-of-two padded grid. The value is
-    identical with or without the center shift, since both spectra are
+    The value is that of center-shifted spectra: both spectra would be
     shifted by the same permutation before the pixelwise difference.
     """
-    a, b = _loss_gray(x), _loss_gray(xr)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(_freq_loss_node(ad.constant(a), ad.constant(b)).value)
+    d = _log_spectrum_node(a) - _log_spectrum_node(b)
+    return ad.reduce_mean(d * d)
 
 
 def _loss_gray(img) -> np.ndarray:
@@ -189,30 +186,24 @@ def _loss_gray(img) -> np.ndarray:
 
 # -- fusion loss -----------------------------------------------------------------------
 
-_SSIM_SIGMA = 1.5
-_SSIM_WIN = 11
-_SSIM_C1 = 0.01**2
-_SSIM_C2 = 0.03**2
-_SSIM_K = gaussian_window1d(_SSIM_WIN, _SSIM_SIGMA)
-
-
 def _ssim_filter(x: ad.Node) -> ad.Node:
     """The 11x11 SSIM window as two valid 1-D passes: along rows, then columns."""
-    return ad.conv2d(ad.conv2d(x, _SSIM_K[None, None, None, :]), _SSIM_K[None, None, :, None])
+    return ad.conv2d(ad.conv2d(x, SSIM_WINDOW[None, None, None, :]),
+                     SSIM_WINDOW[None, None, :, None])
 
 
 def _ssim_moments(x: ad.Node):
     """The window means of x and of x·x: the statistics SSIM takes from one
     (n, 1, H, W) image node alone."""
     h, w = x.value.shape[-2:]
-    if h < _SSIM_WIN or w < _SSIM_WIN:
-        raise ValueError(f"SSIM needs at least {_SSIM_WIN}x{_SSIM_WIN} pixels, got {h}x{w}")
+    if h < SSIM_WIN or w < SSIM_WIN:
+        raise ValueError(f"SSIM needs at least {SSIM_WIN}x{SSIM_WIN} pixels, got {h}x{w}")
     return _ssim_filter(x), _ssim_filter(x * x)
 
 
 def _ssim_node(a: ad.Node, b: ad.Node, a_moments) -> ad.Node:
-    """Mean local SSIM (11x11 Gaussian window, sigma 1.5, L = 1, valid mode)
-    between (n, 1, H, W) nodes, over all n images.
+    """Mean local SSIM (metrics.ssim_map's window and constants) between
+    (n, 1, H, W) nodes, over all n images.
 
     a_moments is _ssim_moments(a), passed in so that several comparisons
     against one image share its filtered mean and square: the fusion loss
@@ -224,9 +215,7 @@ def _ssim_node(a: ad.Node, b: ad.Node, a_moments) -> ad.Node:
     var_a = sq_a - mu_a * mu_a
     var_b = sq_b - mu_b * mu_b
     cov = _ssim_filter(a * b) - mu_a * mu_b
-    num = (mu_a * mu_b * 2.0 + _SSIM_C1) * (cov * 2.0 + _SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-    return ad.reduce_mean(num / den)
+    return ad.reduce_mean(ssim_map(mu_a, mu_b, var_a, var_b, cov))
 
 
 # Sobel x is outer([1, 2, 1], [-1, 0, 1]): smoothing down the rows, a central
@@ -255,9 +244,12 @@ def _sobel_pair(x4: ad.Node):
 def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeights,
                        weight_maps: WeightMaps | None) -> dict:
     """Per-term scalar nodes, each a mean over the n images, for one
-    (n, 1, H, W) fused node against (n, H, W) stacks of gray sources. The
-    color term is handled outside (chroma never passes through the decoder
-    here)."""
+    (n, 1, H, W) fused node against (n, H, W) stacks of gray sources.
+
+    Terms: intensity L1 to max(i, v), SSIM deficit to both sources, L1
+    between absolute Sobel responses and their source-wise max, and the L1
+    saliency mask term. A term whose weight is 0 is not built.
+    """
     i4, v4 = i3[:, None], v3[:, None]
     terms = {}
     if w.intensity:
@@ -281,46 +273,6 @@ def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeight
             for i, v in zip(i3, v3)])
         terms["mask"] = ad.reduce_mean(ad.absolute(ad.constant(blend[:, None]) - f))
     return terms
-
-
-def _chroma_l1(f, v) -> float:
-    from .image import rgb_ycbcr
-
-    def chroma(img):
-        if not isinstance(img, Image) or img.channels != 3:
-            return None
-        ycc = img if img.space == "ycbcr" else rgb_ycbcr(img, "forward")
-        return ycc.pixels[:, :, 1:]
-
-    cf, cv = chroma(f), chroma(v)
-    if cf is None or cv is None:
-        return 0.0
-    return float(np.mean(np.abs(cf - cv)))
-
-
-def fusion_loss(f, i, v, w: LossWeights, weight_maps: WeightMaps | None = None):
-    """Weighted fusion objective against the two sources.
-
-    Terms (each a per-pixel mean): intensity L1 to max(i, v), SSIM deficit to
-    both sources, L1 between absolute Sobel responses and their source-wise
-    max, chroma L1 between f and v (color inputs only), and the L1 saliency
-    mask term. Returns (total, components dict with raw term values).
-    """
-    f2, i2, v2 = _loss_gray(f), _loss_gray(i), _loss_gray(v)
-    if not (f2.shape == i2.shape == v2.shape):
-        raise ValueError("fused and source images must share a shape")
-    terms = _fusion_loss_nodes(ad.constant(f2[None, None]), i2[None], v2[None], w,
-                               weight_maps)
-    comps = {k: float(n.value) for k, n in terms.items()}
-    comps.setdefault("intensity", 0.0)
-    comps.setdefault("ssim", 0.0)
-    comps.setdefault("grad", 0.0)
-    comps.setdefault("mask", 0.0)
-    comps["color"] = _chroma_l1(f, v) if w.color else 0.0
-    total = (w.intensity * comps["intensity"] + w.ssim * comps["ssim"]
-             + w.grad * comps["grad"] + w.color * comps["color"]
-             + w.mask * comps["mask"])
-    return total, comps
 
 
 # -- training steps ---------------------------------------------------------------------

@@ -78,9 +78,6 @@ class Config:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str):
-        return self.values[key]
-
     def hidden_pair(self, key: str):
         parts = [int(p) for p in str(self.values[key]).split(",") if p.strip()]
         if len(parts) != 2:

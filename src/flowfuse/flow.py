@@ -126,9 +126,6 @@ class VelocityModel:
                 np.maximum(h, self.meta["alpha"] * h, out=h)  # ad.leaky_relu's forward
         return unshape(h)
 
-    def __call__(self, x, t) -> np.ndarray:
-        return self.evaluate(x, t)
-
     def trace(self, x_node: ad.Node, t, param_nodes=None) -> ad.Node:
         """Tape forward of the same field, for vector-Jacobian products.
 
@@ -159,24 +156,16 @@ class VelocityModel:
 
 
 def _gaussian_velocity(mu0: float, sigma0: float, x, t: float):
-    """The closed form of analytic_gaussian_velocity, on an array or a tape node."""
-    m = (1.0 - t) * mu0
-    s2 = (1.0 - t) ** 2 * sigma0 * sigma0 + t * t
-    return (t - (1.0 - t) * sigma0 * sigma0) / s2 * (x - m) - mu0
-
-
-def analytic_gaussian_velocity(mu0: float, sigma0: float, x, t: float) -> np.ndarray:
-    """E[eps - x0 | x_t = x] for x0 ~ N(mu0, sigma0^2), eps ~ N(0,1) independent.
+    """E[eps - x0 | x_t = x] for x0 ~ N(mu0, sigma0^2), eps ~ N(0,1) independent,
+    on an array or a tape node.
 
     With m(t) = (1-t) mu0 and s^2(t) = (1-t)^2 sigma0^2 + t^2, the posterior
     means of eps and x0 are linear in (x - m), giving
     v(x, t) = (t - (1-t) sigma0^2) / s^2 * (x - m) - mu0.
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0, 1), got {t}")
-    return _gaussian_velocity(mu0, sigma0, as_array(x), t)
+    m = (1.0 - t) * mu0
+    s2 = (1.0 - t) ** 2 * sigma0 * sigma0 + t * t
+    return (t - (1.0 - t) * sigma0 * sigma0) / s2 * (x - m) - mu0
 
 
 # -- training loss ---------------------------------------------------------------------

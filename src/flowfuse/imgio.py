@@ -55,7 +55,7 @@ def write_png(path, img: Image) -> None:
     Path(path).write_bytes(blob)
 
 
-def _unfilter(raw: bytes, h: int, w: int, nch: int) -> np.ndarray:
+def _unfilter(raw: bytes, h: int, w: int, nch: int, path) -> np.ndarray:
     stride = w * nch
     out = np.zeros((h, stride), dtype=np.uint8)
     pos = 0
@@ -84,7 +84,7 @@ def _unfilter(raw: bytes, h: int, w: int, nch: int) -> np.ndarray:
                     pred = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
                 cur[c] = (line[c] + pred) & 0xFF
         else:
-            raise ValueError(f"unsupported PNG filter type {ftype}")
+            raise ValueError(f"{path}: unsupported PNG filter type {ftype} in row {r}")
         out[r] = cur.astype(np.uint8)
         prev = cur
     return out
@@ -144,7 +144,7 @@ def read_png(path) -> Image:
             f"{path}: chunk b'IDAT' inflates to {got} bytes, but IHDR's {w}x{h} "
             f"with {nch} channel(s) needs {size}"
         )
-    data = _unfilter(raw, h, w, nch)
+    data = _unfilter(raw, h, w, nch, path)
     if nch == 1:
         return from_bytes_u8(data.reshape(h, w))
     return from_bytes_u8(data.reshape(h, w, 3), RGB)

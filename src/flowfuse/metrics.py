@@ -107,24 +107,42 @@ def _conv_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _filter_valid(np.pad(a, (lo, len(k) - 1 - lo)), k)
 
 
+SSIM_WIN = 11
+SSIM_WINDOW = gaussian_window1d(SSIM_WIN, 1.5)
+_SSIM_C1 = 0.01**2  # (K1 L)^2 with L = 1
+_SSIM_C2 = 0.03**2  # (K2 L)^2
+
+
+def ssim_map(mu_a, mu_b, var_a, var_b, cov):
+    """Local SSIM from two images' window statistics, on numpy arrays or on
+    autodiff nodes alike:
+
+        (2 mu_a mu_b + C1)(2 cov + C2) / ((mu_a^2 + mu_b^2 + C1)(var_a + var_b + C2))
+
+    The metric (ssim_psnr) clamps its variances at 0 before the call, as
+    rounding can leave E[x^2] - mu^2 just below 0; the training loss
+    (codec._ssim_node) passes them unclamped. x * 2.0 and x * x give the
+    bits of 2 * x and x**2, so the metric's values are those of the textbook
+    form.
+    """
+    return ((mu_a * mu_b * 2.0 + _SSIM_C1) * (cov * 2.0 + _SSIM_C2)
+            / ((mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)))
+
+
 def ssim_psnr(f, s) -> tuple:
     """(mean local SSIM, PSNR in dB) for two gray images."""
     a, b = as_gray(f), as_gray(s)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if min(a.shape) < 11:
-        raise ValueError("SSIM needs at least 11x11 pixels")
-    win = gaussian_window1d(11, 1.5)
-    c1, c2 = 0.01**2, 0.03**2
+    if min(a.shape) < SSIM_WIN:
+        raise ValueError(f"SSIM needs at least {SSIM_WIN}x{SSIM_WIN} pixels")
+    win = SSIM_WINDOW
     mu_a = _filter_valid(a, win)
     mu_b = _filter_valid(b, win)
     var_a = np.maximum(_filter_valid(a * a, win) - mu_a * mu_a, 0.0)
     var_b = np.maximum(_filter_valid(b * b, win) - mu_b * mu_b, 0.0)
     cov = _filter_valid(a * b, win) - mu_a * mu_b
-    ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    )
-    ssim = float(ssim_map.mean())
+    ssim = float(ssim_map(mu_a, mu_b, var_a, var_b, cov).mean())
     mse = float(np.mean((a - b) ** 2))
     psnr = 99.0 if mse < 1e-10 else float(10.0 * np.log10(1.0 / mse))
     return ssim, min(psnr, 99.0)
@@ -167,11 +185,6 @@ def vif_pair(ref, dist) -> float:
         num += float(np.sum(np.log10(1.0 + g * g * s_a / (sv + sigma_nsq))))
         den += float(np.sum(np.log10(1.0 + s_a / sigma_nsq)))
     return num / den if den > 0 else 0.0
-
-
-def vif(f, a, b) -> float:
-    """Fused-image VIF, averaged over the two sources."""
-    return 0.5 * (vif_pair(a, f) + vif_pair(b, f))
 
 
 # -- correlation metrics -------------------------------------------------------------------

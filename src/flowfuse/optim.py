@@ -30,23 +30,6 @@ class ParamSet:
     def __getitem__(self, name):
         return self.params[name]
 
-    def __contains__(self, name):
-        return name in self.params
-
-    def __len__(self):
-        return len(self.params)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            {k: p.copy() for k, p in self.params.items()},
-            {k: p.copy() for k, p in self.m.items()},
-            {k: p.copy() for k, p in self.v.items()},
-            self.step,
-        )
-
-    def n_values(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 def adam_step(
     pset: ParamSet,

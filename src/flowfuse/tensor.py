@@ -1,134 +1,34 @@
-"""Dense real64/complex128 tensors with strict shape semantics.
+"""The array result of the library's entry points.
 
-The Tensor is the universal value carrier of the library: a row-major numpy
-buffer plus a dtype restricted to float64 or complex128. Arithmetic is
-deliberately stricter than numpy: operands must have identical shapes, the
-only broadcasting allowed is scalar-with-tensor. All operations are pure.
+codec.encode returns a latent as a Tensor and flow.euler_sample a trajectory
+of them: a float64 C-order numpy array in `data`, with its shape and size.
+`data` is writable and belongs to the caller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_REAL = np.float64
-_COMPLEX = np.complex128
-
 
 class Tensor:
-    """Immutable-by-convention dense array, dtype real64 or complex128."""
+    """A float64 C-order array, `data`."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data)
-        if dtype is None:
-            dtype = _COMPLEX if np.iscomplexobj(arr) else _REAL
-        if dtype not in (_REAL, _COMPLEX):
-            raise TypeError(f"unsupported dtype {dtype!r}; only real64/complex128")
-        self.data = np.asarray(arr, dtype=dtype, order="C")
-
-    # -- metadata ----------------------------------------------------------
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64, order="C")
 
     @property
     def shape(self):
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
-    @property
-    def dtype(self):
-        return "complex128" if self.data.dtype == _COMPLEX else "real64"
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=_REAL):
-        return Tensor(np.zeros(shape), dtype=dtype)
-
-    @staticmethod
-    def full(shape, value):
-        return Tensor(np.full(shape, value, dtype=_REAL))
-
-    def copy(self):
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
-
-    def item(self):
-        if self.size != 1:
-            raise ValueError(f"item() on tensor of size {self.size}")
-        return self.data.reshape(()).item()
-
-    def tolist(self):
-        return self.data.tolist()
-
-    # -- strict arithmetic ---------------------------------------------------
-
-    def _coerce(self, other):
-        """Return the raw operand, enforcing the no-broadcast rule."""
-        if isinstance(other, Tensor):
-            if other.ndim != 0 and self.ndim != 0 and other.shape != self.shape:
-                raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-            return other.data
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return other
-        raise TypeError(f"cannot combine Tensor with {type(other).__name__}")
-
-    def __add__(self, other):
-        return Tensor(self.data + self._coerce(other))
-
-    def __radd__(self, other):
-        return Tensor(self._coerce(other) + self.data)
-
-    def __sub__(self, other):
-        return Tensor(self.data - self._coerce(other))
-
-    def __rsub__(self, other):
-        return Tensor(self._coerce(other) - self.data)
-
-    def __mul__(self, other):
-        return Tensor(self.data * self._coerce(other))
-
-    def __rmul__(self, other):
-        return Tensor(self._coerce(other) * self.data)
-
-    def __truediv__(self, other):
-        return Tensor(self.data / self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return Tensor(self._coerce(other) / self.data)
-
-    def __neg__(self):
-        return Tensor(-self.data)
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self):
-        return self.data.sum()
-
-    def mean(self):
-        return self.data.mean()
-
-    def max_abs(self):
-        return float(np.abs(self.data).max()) if self.size else 0.0
-
-
-def as_tensor(x) -> Tensor:
-    """Wrap arrays/lists/scalars as Tensor; pass Tensors through unchanged."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
 
 def as_array(x) -> np.ndarray:
-    """Raw float64/complex128 ndarray view of a Tensor or array-like."""
+    """The array of a Tensor, or an array-like as a float64 C-order array."""
     if isinstance(x, Tensor):
         return x.data
-    return as_tensor(x).data
+    return Tensor(x).data

@@ -149,3 +149,40 @@ def test_codec_checkpoint_slope_outside_zero_one_named(tmp_path, alpha):
     want = rf"codec\.rffz: codec\.meta leaky slope must be in \[0, 1\], got {alpha}"
     with pytest.raises(ValueError, match=want):
         load_codec_checkpoint(p)
+
+
+_W1 = np.zeros((6, 3, 3, 3))  # (6, 4, 3, 3) for hidden (4, 6)
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"codec.enc.w1": _W1, "codec.enc.w1.m": _W1, "codec.enc.w1.v": _W1},
+     r"codec\.rffz: tensor codec\.enc\.w1 has shape \(6, 3, 3, 3\), expected \(6, 4, 3, 3\)"),
+    ({"codec.dec.b2.m": None}, r"codec\.rffz: missing tensor codec\.dec\.b2\.m"),
+    ({"codec.enc.w3.m": np.zeros((4, 6, 3, 3))},
+     r"codec\.rffz: unexpected tensor codec\.enc\.w3\.m"),
+], ids=["wrong shape", "missing moment", "unexpected tensor"])
+def test_codec_checkpoint_tensor_fault_named(tmp_path, changes, match):
+    from flowfuse.checkpoint import load_codec_checkpoint, save_codec_checkpoint
+    from flowfuse.codec import CodecParams
+
+    p = tmp_path / "codec.rffz"
+    save_codec_checkpoint(p, CodecParams.initialize(hidden=(4, 6), seed=0))
+    tensors = load_checkpoint(p)
+    for key, value in changes.items():
+        if value is None:
+            del tensors[key]
+        else:
+            tensors[key] = value
+    save_checkpoint(p, tensors)
+    with pytest.raises(ValueError, match=match):
+        load_codec_checkpoint(p)
+
+
+def test_flow_checkpoint_missing_moment_named(tmp_path):
+    from flowfuse.checkpoint import load_flow_checkpoint
+
+    _, p, tensors = _flow_tensors(tmp_path)
+    del tensors["flow.params.b1.v"]
+    save_checkpoint(p, tensors)
+    with pytest.raises(ValueError, match=r"flow\.rffz: missing tensor flow\.params\.b1\.v"):
+        load_flow_checkpoint(p)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from flowfuse import autodiff as ad
 from flowfuse.codec import (
     CodecParams,
     LossWeights,
+    _freq_loss_node,
+    _fusion_loss_nodes,
     decode,
     encode,
-    freq_loss,
-    fusion_loss,
     stage1_step,
     stage2_step,
 )
@@ -72,6 +73,17 @@ class TestShapes:
         assert np.all(img.pixels == 1.0)
 
 
+def freq_loss(a, b):
+    """The spectral loss between two gray (H, W) images."""
+    return float(_freq_loss_node(ad.constant(a), ad.constant(b)).value)
+
+
+def fusion_terms(f, i, v, w):
+    """Each fusion-loss term's value for one gray (H, W) triple."""
+    terms = _fusion_loss_nodes(ad.constant(f[None, None]), i[None], v[None], w, None)
+    return {k: float(node.value) for k, node in terms.items()}
+
+
 class TestFreqLoss:
     def test_identical_images_zero(self):
         x = np.random.default_rng(3).random((8, 8))
@@ -134,28 +146,19 @@ class TestFreqLoss:
 class TestFusionLoss:
     def test_all_equal_gives_zero(self):
         x = np.random.default_rng(6).random((16, 16)) * 0.8 + 0.1
-        total, comps = fusion_loss(x, x, x, LossWeights())
-        assert abs(total) < 1e-9
-        for name in ("intensity", "ssim", "grad", "mask", "color"):
-            assert abs(comps[name]) < 1e-9
+        terms = fusion_terms(x, x, x, LossWeights())
+        assert sorted(terms) == ["grad", "intensity", "mask", "ssim"]
+        for name, value in terms.items():
+            assert abs(value) < 1e-9, name
 
     def test_constant_offset_intensity(self):
         rng = np.random.default_rng(7)
         i = rng.random((16, 16)) * 0.5 + 0.2
         f = i + 0.1
-        w = LossWeights(ssim=0, grad=0, color=0, mask=0)
-        total, comps = fusion_loss(f, i, i, w)
-        assert abs(comps["intensity"] - 0.1) < 1e-12
-        assert abs(total - 0.1) < 1e-12
-
-    def test_total_equals_weighted_component_sum(self):
-        rng = np.random.default_rng(8)
-        f, i, v = rng.random((16, 16)), rng.random((16, 16)), rng.random((16, 16))
-        w = LossWeights(fre=0.0, intensity=1.3, ssim=0.7, grad=2.0, color=0.5, mask=0.9)
-        total, comps = fusion_loss(f, i, v, w)
-        hand = (w.intensity * comps["intensity"] + w.ssim * comps["ssim"]
-                + w.grad * comps["grad"] + w.color * comps["color"] + w.mask * comps["mask"])
-        assert abs(total - hand) < 1e-12
+        w = LossWeights(ssim=0, grad=0, mask=0)
+        terms = fusion_terms(f, i, i, w)
+        assert list(terms) == ["intensity"]
+        assert abs(terms["intensity"] - 0.1) < 1e-12
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):

