@@ -5,7 +5,7 @@ value, references to its parents, and a vector-Jacobian closure. Graphs are
 rebuilt per step; backward() walks the DAG in reverse topological order and
 accumulates adjoints. Primitives:
 
-    add, sub, mul, div, matmul, column concat, conv2d (stride 1|2),
+    add, sub, mul, div, matmul, column concat, reshape, conv2d (stride 1|2),
     transposed conv2d, leaky_relu, tanh, log1p, abs (subgradient 0 at 0),
     sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
     normalize (per slice over the trailing two axes), clamp (identity inside
@@ -38,6 +38,8 @@ class Node:
     """One primitive application: cached value, parents, and a vjp closure."""
 
     __slots__ = ("value", "parents", "vjp", "op", "requires_grad")
+    # numpy defers to the reflected operators: array * node is a node, not an object array
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None, op="leaf", requires_grad=False):
         self.value = np.asarray(value)
@@ -183,6 +185,16 @@ def concat_cols(a, b) -> Node:
         lambda g: (g[:, :split], g[:, split:]),
         op="concat",
     )
+
+
+def reshape(x, shape) -> Node:
+    """x's values in a new shape of the same size, -1 allowed as in numpy.
+    A shape equal to x's returns x itself and adds no node."""
+    x = _wrap(x)
+    y = x.value.reshape(shape)
+    if y.shape == x.shape:
+        return x
+    return Node(y, (x,), lambda g: (g.reshape(x.shape),), op="reshape")
 
 
 # -- convolutions --------------------------------------------------------------------
@@ -343,12 +355,12 @@ def leaky_relu(x, alpha: float = 0.2) -> Node:
     0 * inf makes the max NaN."""
     check_slope(alpha)
     x = _wrap(x)
-    pos = x.value > 0
     y = alpha * x.value
     np.maximum(x.value, y, out=y)  # in place: a fresh output costs more than the max
 
     def vjp(g):
-        slope = np.maximum(pos, alpha)
+        # the sign mask is built here, so a graph that runs no backward skips it
+        slope = np.maximum(x.value > 0, alpha)
         return (np.multiply(g, slope, out=slope),)
 
     return Node(y, (x,), vjp, op="leaky_relu")

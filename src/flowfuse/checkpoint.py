@@ -75,20 +75,36 @@ def save_codec_checkpoint(path, codec) -> None:
     save_checkpoint(path, tensors)
 
 
+def _meta(path, tensors: dict, key: str, length=None, slope=False) -> tuple:
+    """The vector tensor key (of length entries, if given) as positive ints,
+    but with slope its last entry is a leaky slope in [0, 1]. Any fault is a
+    ValueError naming the path and tensor."""
+    if key not in tensors:
+        raise ValueError(f"{path}: missing tensor {key}")
+    vec = tensors[key]
+    if vec.ndim != 1 or length not in (None, vec.size):
+        raise ValueError(f"{path}: tensor {key} has shape {vec.shape}, expected "
+                         + (f"({length},)" if length else "a vector"))
+    for v in vec[:-1] if slope else vec:
+        if not (float(v).is_integer() and v >= 1):
+            raise ValueError(f"{path}: tensor {key} holds extent {v}, expected a positive integer")
+    if slope:
+        return (*(int(v) for v in vec[:-1]), check_slope(vec[-1], f"{path}: {key} leaky slope"))
+    return tuple(int(v) for v in vec)
+
+
 def load_codec_checkpoint(path):
     from .codec import CodecParams, param_shapes
 
     tensors = load_checkpoint(path)
     if "codec.meta" not in tensors:
         raise ValueError(f"{path}: not a codec checkpoint")
-    in_ch, c1, c2, latent, alpha = tensors["codec.meta"]
-    check_slope(alpha, f"{path}: codec.meta leaky slope")
-    hidden = (int(c1), int(c2))
-    enc_shapes, dec_shapes = param_shapes(int(in_ch), hidden, int(latent))
+    in_ch, c1, c2, latent, alpha = _meta(path, tensors, "codec.meta", 5, slope=True)
+    enc_shapes, dec_shapes = param_shapes(in_ch, (c1, c2), latent)
     return CodecParams(
         _unpack_paramset(path, "codec.enc", tensors, enc_shapes),
         _unpack_paramset(path, "codec.dec", tensors, dec_shapes),
-        int(in_ch), hidden, int(latent), float(alpha),
+        in_ch, (c1, c2), latent, alpha,
     )
 
 
@@ -104,21 +120,15 @@ def save_flow_checkpoint(path, model) -> None:
 
 
 def load_flow_checkpoint(path):
-    from .flow import VelocityModel
+    from .flow import VelocityModel, param_shapes
 
     tensors = load_checkpoint(path)
     if "flow.meta" not in tensors:
         raise ValueError(f"{path}: not a velocity-model checkpoint")
-    dim, alpha = tensors["flow.meta"]
-    check_slope(alpha, f"{path}: flow.meta leaky slope")
-    hidden = tuple(int(h) for h in tensors["flow.hidden"])
-    widths = [int(dim) + 1, *hidden, int(dim)]
-    shapes = {}
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        shapes[f"w{i}"] = (fan_in, fan_out)
-        shapes[f"b{i}"] = (fan_out,)
-    return VelocityModel("mlp", _unpack_paramset(path, "flow.params", tensors, shapes),
-                         dim=int(dim), hidden=hidden, alpha=float(alpha))
+    dim, alpha = _meta(path, tensors, "flow.meta", 2, slope=True)
+    hidden = _meta(path, tensors, "flow.hidden")
+    params = _unpack_paramset(path, "flow.params", tensors, param_shapes(dim, hidden))
+    return VelocityModel("mlp", params, dim=dim, hidden=hidden, alpha=alpha)
 
 
 def save_checkpoint(path, tensors: dict) -> None:

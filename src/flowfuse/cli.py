@@ -308,8 +308,10 @@ def cmd_fuse(args) -> int:
     img_b = load_image(args.input_b)
     codec = load_codec_checkpoint(args.codec)
     model = load_flow_checkpoint(args.flow)
-    fused, timings, traj = fuse_images(img_a, img_b, codec, model, cfg,
-                                       seed_side=args.seed_side)
+    try:
+        fused, timings, traj = fuse_images(img_a, img_b, codec, model, cfg, seed_side=args.seed_side)
+    except ValueError as err:  # the size checks know no file names
+        raise ValueError(f"fusing {args.input_a} with {args.input_b}: {err}") from err
     name = Path(args.input_a).stem
     dest = out / f"{name}_fused.png"
     save_image(dest, fused)

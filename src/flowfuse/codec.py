@@ -175,15 +175,6 @@ def _freq_loss_node(a: ad.Node, b: ad.Node) -> ad.Node:
     return ad.reduce_mean(d * d)
 
 
-def _loss_gray(img) -> np.ndarray:
-    if isinstance(img, Image) and img.channels == 3:
-        return img.pixels.mean(axis=2)
-    a = as_array(img) if not isinstance(img, Image) else img.pixels
-    if a.ndim == 3:
-        return a.mean(axis=2)
-    return a
-
-
 # -- fusion loss -----------------------------------------------------------------------
 
 def _ssim_filter(x: ad.Node) -> ad.Node:
@@ -298,10 +289,11 @@ def _weighted_sum(parts):
 
 def stage1_step(p: CodecParams, batch, w: LossWeights, lr=1e-3, beta1=0.9, beta2=0.999):
     """One Adam step of encoder + decoder on L1 reconstruction plus the
-    spectral loss; returns (updated params, component means)."""
+    spectral loss; returns (updated params, component means). The batch holds
+    gray images: a colour image is rejected, so take its image.luma first."""
     if p.freeze != "none":
         raise ValueError("stage one trains encoder and decoder; freeze must be none")
-    imgs = [_loss_gray(item) for item in batch]
+    imgs = [as_gray(item) for item in batch]
     for a in imgs:
         _check_divisible(a)
     get_e, enc_leaves = _leaf_getter(p.encoder)
@@ -346,11 +338,11 @@ def stage2_step(p: CodecParams, pairs, w: LossWeights, lr=1e-3, beta1=0.9, beta2
 
     The fused candidate is decode(encode(v)): sampling is bypassed during
     training and applied only at inference. The encoder must be frozen and is
-    carried over bit-identically.
+    carried over bit-identically. Sources are gray, as in stage one.
     """
     if p.freeze != "encoder":
         raise ValueError("stage two requires freeze='encoder'")
-    srcs = [(_loss_gray(i_img), _loss_gray(v_img)) for i_img, v_img in pairs]
+    srcs = [(as_gray(i_img), as_gray(v_img)) for i_img, v_img in pairs]
     if not srcs:
         raise ValueError("stage two needs at least one (i, v) pair")
     for k, (i2, v2) in enumerate(srcs):

@@ -2,6 +2,10 @@
 constant velocity target, its regression loss, deterministic Euler sampling,
 and a closed-form Gaussian velocity oracle for verification.
 
+A velocity field has one forward, VelocityModel.trace, the only place the
+model kind is read: evaluate runs it on a constant state, rf_loss with
+parameter leaves, and full-vjp guidance with a state leaf.
+
 Time runs from t=1 (noise side) down to t=0 (data side). Along the straight
 path x_t = (1-t) x0 + t eps the true velocity is the constant eps - x0, which
 is what makes one-step Euler exact once the field is straight.
@@ -56,13 +60,14 @@ class VelocityModel:
     analytic_gaussian(mu0, sigma0)
                              -- exact conditional-expectation velocity for
                                 x0 ~ N(mu0, sigma0^2), eps ~ N(0, 1), elementwise
-    mlp(dim, hidden)         -- small trainable network; t is appended to the
-                                flattened state as an extra input feature
+    mlp(dim, hidden)         -- small trainable network; t is appended to each
+                                (dim,) row of the state as an extra input
+                                feature (param_shapes gives its parameters)
     """
 
     def __init__(self, kind, params=None, **meta):
         self.kind = kind
-        self.params = params
+        self.params = params if params is not None else ParamSet({})
         self.meta = meta
 
     # constructors ---------------------------------------------------------
@@ -81,11 +86,9 @@ class VelocityModel:
     def mlp(dim: int, hidden=(128, 128), alpha: float = 0.2, seed: int = 0) -> "VelocityModel":
         alpha = ad.check_slope(alpha, "leaky slope alpha")
         rng = np.random.default_rng(seed)
-        widths = [dim + 1, *hidden, dim]
-        params = {}
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            params[f"w{i}"] = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-            params[f"b{i}"] = np.zeros(fan_out)
+        # He-normal weights drawn in layer order, zero biases
+        params = {k: rng.standard_normal(s) * np.sqrt(2.0 / s[0]) if k[0] == "w" else np.zeros(s)
+                  for k, s in param_shapes(dim, hidden).items()}
         return VelocityModel(
             "mlp", ParamSet(params), dim=int(dim), hidden=tuple(hidden), alpha=alpha
         )
@@ -95,53 +98,34 @@ class VelocityModel:
 
     # evaluation -----------------------------------------------------------
 
-    def _mlp_batch(self, x: np.ndarray):
-        """View the state as (B, dim) rows plus the inverse reshaper."""
-        dim = self.meta["dim"]
-        if x.ndim >= 1 and x.shape[-1] == dim:
-            lead = x.shape[:-1]
-            return x.reshape(-1, dim), lambda out: out.reshape(*lead, dim)
-        if x.size == dim:
-            shape = x.shape
-            return x.reshape(1, dim), lambda out: out.reshape(shape)
-        raise ValueError(f"state of shape {x.shape} does not match model dim {dim}")
-
     def evaluate(self, x, t) -> np.ndarray:
-        """Pure numpy forward; deterministic, output shape equals input shape."""
-        x = as_array(x)
-        if self.kind == "constant":
-            return np.full_like(x, self.meta["c"])
-        if self.kind == "analytic-gaussian":
-            # the posterior-mean form is continuous at t = 1 (v = x - mu0 there),
-            # so sampling from the t = 1 grid point is fine
-            return _gaussian_velocity(self.meta["mu0"], self.meta["sigma0"], x, float(t))
-        rows, unshape = self._mlp_batch(x)
-        tcol = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (rows.shape[0], 1))
-        h = np.concatenate([rows, tcol], axis=1)
-        n_layers = len(self.meta["hidden"]) + 1
-        for i in range(n_layers):
-            h = h @ self.params[f"w{i}"]
-            h += self.params[f"b{i}"]
-            if i < n_layers - 1:
-                np.maximum(h, self.meta["alpha"] * h, out=h)  # ad.leaky_relu's forward
-        return unshape(h)
+        """The field at an array state: trace on a constant, which keeps no
+        gradient. Deterministic; output shape equals input shape."""
+        return self.trace(ad.constant(as_array(x)), t).value
 
     def trace(self, x_node: ad.Node, t, param_nodes=None) -> ad.Node:
-        """Tape forward of the same field, for vector-Jacobian products.
-
-        param_nodes, when given, maps parameter names to leaves (training);
-        otherwise parameters enter as constants (state-gradient only).
+        """The field's forward on the tape, in the state's shape. t is a
+        scalar or one value per row; the mlp's rows are the state's (dim,)
+        rows, or the whole state if it holds dim values. param_nodes, when
+        given, maps parameter names to leaves (training); otherwise parameters
+        enter as constants (state-gradient only).
         """
+        t = np.asarray(t, dtype=np.float64)
         if self.kind == "constant":
             return ad.constant(np.full(x_node.value.shape, self.meta["c"])) + x_node * 0.0
         if self.kind == "analytic-gaussian":
-            return _gaussian_velocity(self.meta["mu0"], self.meta["sigma0"], x_node, float(t))
+            # one t per row broadcasts over the row's trailing axes; the
+            # posterior-mean form is continuous at t = 1 (v = x - mu0 there),
+            # so sampling from the t = 1 grid point is fine
+            t = t.reshape(-1, *(1,) * (x_node.value.ndim - 1)) if t.ndim else float(t)
+            return _gaussian_velocity(self.meta["mu0"], self.meta["sigma0"], x_node, t)
         dim = self.meta["dim"]
-        if x_node.value.ndim != 2 or x_node.value.shape[1] != dim:
-            raise ValueError(f"trace expects a (batch, {dim}) node, got {x_node.value.shape}")
-        b = x_node.value.shape[0]
-        tcol = ad.constant(np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (b, 1)))
-        h = ad.concat_cols(x_node, tcol)
+        shape = x_node.value.shape
+        if not (shape and shape[-1] == dim) and x_node.value.size != dim:
+            raise ValueError(f"state of shape {shape} does not match model dim {dim}")
+        h = ad.reshape(x_node, (-1, dim))
+        tcol = np.broadcast_to(t.reshape(-1, 1), (h.value.shape[0], 1))
+        h = ad.concat_cols(h, ad.constant(tcol))
         n_layers = len(self.meta["hidden"]) + 1
         get = (lambda k: param_nodes[k]) if param_nodes is not None else (
             lambda k: ad.constant(self.params[k]))
@@ -149,15 +133,26 @@ class VelocityModel:
             h = ad.matmul(h, get(f"w{i}")) + get(f"b{i}")
             if i < n_layers - 1:
                 h = ad.leaky_relu(h, self.meta["alpha"])
-        return h
+        return ad.reshape(h, shape)
+
+
+def param_shapes(dim, hidden):
+    """The mlp's parameter shapes, name -> shape, in parameter order: the
+    weights w0.. map [state | t] through the hidden widths back to dim."""
+    widths = [dim + 1, *hidden, dim]
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes[f"w{i}"] = (fan_in, fan_out)
+        shapes[f"b{i}"] = (fan_out,)
+    return shapes
 
 
 # -- analytic Gaussian oracle ------------------------------------------------------
 
 
-def _gaussian_velocity(mu0: float, sigma0: float, x, t: float):
+def _gaussian_velocity(mu0: float, sigma0: float, x, t):
     """E[eps - x0 | x_t = x] for x0 ~ N(mu0, sigma0^2), eps ~ N(0,1) independent,
-    on an array or a tape node.
+    on a tape node; t is a float or an array that broadcasts against x.
 
     With m(t) = (1-t) mu0 and s^2(t) = (1-t)^2 sigma0^2 + t^2, the posterior
     means of eps and x0 are linear in (x - m), giving
@@ -187,17 +182,11 @@ def rf_loss(model: VelocityModel, x0_batch, eps_batch, t_batch):
     if np.any(t >= 1.0) or np.any(t < 0.0):
         raise ValueError("t must lie in [0, 1); t = 1 is the path pole")
     xt = (1.0 - t)[:, None] * x0 + t[:, None] * eps
-    target = eps - x0
-    if model.kind == "constant":
-        return float(np.mean((np.full_like(xt, model.meta["c"]) - target) ** 2)), {}
-    if model.kind == "analytic-gaussian":
-        v = np.stack([model.evaluate(xt[i], float(t[i])) for i in range(t.size)])
-        return float(np.mean((v - target) ** 2)), {}
     param_nodes = {k: ad.leaf(model.params[k]) for k in model.params.names()}
     v_node = model.trace(ad.constant(xt), t, param_nodes)
-    diff = v_node - ad.constant(target)
+    diff = v_node - ad.constant(eps - x0)
     loss_node = ad.reduce_mean(diff * diff)
-    grads = ad.backward(loss_node, list(param_nodes.values()))
+    grads = ad.backward(loss_node, list(param_nodes.values())) if param_nodes else {}
     return float(loss_node.value), {k: grads[n] for k, n in param_nodes.items()}
 
 

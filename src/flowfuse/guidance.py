@@ -186,17 +186,11 @@ def likelihood_grad(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpe
     if spec.grad_mode == "stop-grad":
         grad = 2.0 * (f0 - y)
     else:
-        shape = f.shape
-        if model.kind == "mlp":
-            x = ad.leaf(f.reshape(1, -1))
-            v_node = model.trace(x, t)
-        else:
-            x = ad.leaf(f)
-            v_node = model.trace(x, t)
-        f0_node = x - v_node * t
-        resid = ad.constant(y.reshape(f0_node.value.shape)) - f0_node
+        x = ad.leaf(f)
+        f0_node = x - model.trace(x, t) * t
+        resid = ad.constant(y) - f0_node
         loss = ad.reduce_sum(resid * resid)
-        grad = ad.backward(loss, [x])[x].reshape(shape)
+        grad = ad.backward(loss, [x])[x]
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite likelihood gradient")
     return rho_t * grad

@@ -58,6 +58,7 @@ def test_node_not_in_graph_rejected():
         ("mean", lambda x: ad.reduce_mean(x * x * x)),
         ("clamp", lambda x: ad.reduce_sum(ad.clamp(x, -0.5, 0.5) * x)),
         ("minmax", lambda x: ad.reduce_sum(ad.minmax_normalize(x) * x)),
+        ("reshape", lambda x: ad.reduce_sum(ad.reshape(x, (2, -1)) * ad.reshape(x * x, (2, 6)))),
     ],
 )
 def test_primitive_matches_finite_differences(name, builder):
@@ -78,6 +79,31 @@ def test_primitive_matches_finite_differences(name, builder):
     if name in ("clamp", "leaky_relu"):
         mask = (np.abs(np.abs(x0) - 0.5) > 1e-3) & (np.abs(x0 + 0.3) > 1e-3)
     assert rel_err(g, num)[mask].max() < 1e-6
+
+
+def test_reshape_of_the_same_shape_adds_no_node():
+    x = ad.leaf(np.ones((3, 4)))
+    assert ad.reshape(x, (3, 4)) is x and ad.reshape(x, (-1, 4)) is x
+    y = ad.reshape(x, (4, 3))
+    assert y.op == "reshape" and y.parents == (x,) and y.shape == (4, 3)
+    with pytest.raises(ValueError):
+        ad.reshape(x, (5, 2))
+
+
+def test_array_times_node_is_a_node():
+    # numpy defers to Node's reflected operators instead of building an
+    # object array of per-element products
+    x0 = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+    col = np.full((2, 1), 2.0)
+    x = ad.leaf(x0)
+    out = col * x
+    assert isinstance(out, ad.Node), type(out)
+    assert out.value.dtype == np.float64 and np.array_equal(out.value, col * x0)
+    g = ad.backward(ad.reduce_sum(out), [x])[x]
+    assert np.array_equal(g, np.broadcast_to(col, x0.shape))
+    for op in (np.add, np.subtract, np.true_divide):  # no reflected form: a TypeError
+        with pytest.raises(TypeError):
+            op(col, x)
 
 
 def test_matmul_gradients():

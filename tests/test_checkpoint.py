@@ -160,7 +160,18 @@ _W1 = np.zeros((6, 3, 3, 3))  # (6, 4, 3, 3) for hidden (4, 6)
     ({"codec.dec.b2.m": None}, r"codec\.rffz: missing tensor codec\.dec\.b2\.m"),
     ({"codec.enc.w3.m": np.zeros((4, 6, 3, 3))},
      r"codec\.rffz: unexpected tensor codec\.enc\.w3\.m"),
-], ids=["wrong shape", "missing moment", "unexpected tensor"])
+    ({"codec.meta": np.array([1.0, 4.0, 6.0, 0.2])},
+     r"codec\.rffz: tensor codec\.meta has shape \(4,\), expected \(5,\)"),
+    ({"codec.meta": np.array([[1.0, 4.0, 6.0, 4.0, 0.2]])},
+     r"codec\.rffz: tensor codec\.meta has shape \(1, 5\), expected \(5,\)"),
+    ({"codec.meta": np.array([1.0, 4.5, 6.0, 4.0, 0.2])},
+     r"codec\.rffz: tensor codec\.meta holds extent 4\.5, expected a positive integer"),
+    ({"codec.meta": np.array([1.0, 4.0, 6.0, 0.0, 0.2])},
+     r"codec\.rffz: tensor codec\.meta holds extent 0\.0, expected a positive integer"),
+    ({"codec.meta": np.array([np.nan, 4.0, 6.0, 4.0, 0.2])},
+     r"codec\.rffz: tensor codec\.meta holds extent nan, expected a positive integer"),
+], ids=["wrong shape", "missing moment", "unexpected tensor", "short meta", "rank-2 meta",
+        "fractional extent", "zero extent", "nan extent"])
 def test_codec_checkpoint_tensor_fault_named(tmp_path, changes, match):
     from flowfuse.checkpoint import load_codec_checkpoint, save_codec_checkpoint
     from flowfuse.codec import CodecParams
@@ -185,4 +196,35 @@ def test_flow_checkpoint_missing_moment_named(tmp_path):
     del tensors["flow.params.b1.v"]
     save_checkpoint(p, tensors)
     with pytest.raises(ValueError, match=r"flow\.rffz: missing tensor flow\.params\.b1\.v"):
+        load_flow_checkpoint(p)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("flow.meta", np.array([6.0]),
+     r"flow\.rffz: tensor flow\.meta has shape \(1,\), expected \(2,\)"),
+    ("flow.meta", np.array([6.0, 0.2, 1.0]),
+     r"flow\.rffz: tensor flow\.meta has shape \(3,\), expected \(2,\)"),
+    ("flow.hidden", None, r"flow\.rffz: missing tensor flow\.hidden"),
+    ("flow.hidden", np.array(5.0),
+     r"flow\.rffz: tensor flow\.hidden has shape \(\), expected a vector"),
+    ("flow.meta", np.array([4.5, 0.2]),
+     r"flow\.rffz: tensor flow\.meta holds extent 4\.5, expected a positive integer"),
+    ("flow.meta", np.array([-6.0, 0.2]),
+     r"flow\.rffz: tensor flow\.meta holds extent -6\.0, expected a positive integer"),
+    ("flow.hidden", np.array([5.0, 0.0]),
+     r"flow\.rffz: tensor flow\.hidden holds extent 0\.0, expected a positive integer"),
+    ("flow.hidden", np.array([5.0, np.inf]),
+     r"flow\.rffz: tensor flow\.hidden holds extent inf, expected a positive integer"),
+], ids=["short", "long", "no hidden", "scalar hidden", "fractional dim", "negative dim",
+        "zero width", "infinite width"])
+def test_flow_checkpoint_meta_fault_named(tmp_path, key, value, match):
+    from flowfuse.checkpoint import load_flow_checkpoint
+
+    _, p, tensors = _flow_tensors(tmp_path)
+    if value is None:
+        del tensors[key]
+    else:
+        tensors[key] = value
+    save_checkpoint(p, tensors)
+    with pytest.raises(ValueError, match=match):
         load_flow_checkpoint(p)

@@ -126,6 +126,31 @@ def test_fuse_size_mismatch_hint(workspace, tmp_path):
               "--flow", str(run / "flow.rffz")])
 
 
+@pytest.mark.parametrize("size_a, size_b, match", [
+    (8, 16, "input sizes differ: 8x8 vs 16x16"),
+    (14, 14, "image extents must be divisible by 4, got 14x14"),
+    (8, 8, "flow checkpoint expects latent dim 64, inputs give 16"),
+], ids=["differing sizes", "not divisible by 4", "latent dim"])
+def test_fuse_shape_errors_name_both_inputs(workspace, tmp_path, size_a, size_b, match):
+    import re
+
+    root, cfgfile, run = workspace
+    from flowfuse.image import Image
+    from flowfuse.imgio import load_image, save_image
+
+    paths = []
+    for side, size in (("A", size_a), ("B", size_b)):
+        img = load_image(root / "data" / side / "0000.png")
+        paths.append(tmp_path / f"{side}{size}.png")
+        save_image(paths[-1], Image(img.pixels[:size, :size]))
+    want = f"fusing {re.escape(str(paths[0]))} with {re.escape(str(paths[1]))}: {match}"
+    with pytest.raises(ValueError, match=want):
+        main(["--config", str(cfgfile), "--out", str(tmp_path / "x"), "fuse",
+              "--input-a", str(paths[0]), "--input-b", str(paths[1]),
+              "--codec", str(run / "codec2.rffz"),
+              "--flow", str(run / "flow.rffz")])
+
+
 def test_eval_reports_missing_counterparts(workspace, tmp_path, capsys):
     root, _, _ = workspace
     fused_dir = tmp_path / "lonely"

@@ -197,6 +197,21 @@ class TestStage1:
             stage1_step(p, textures(1, 16, 12), LossWeights())
 
 
+def test_training_steps_reject_colour():
+    # training is luma-only, as inference is: a colour input must be reduced
+    # to image.luma first, not averaged over RGB
+    from flowfuse.image import Image
+
+    gray = textures(1, 16, 16)[0]
+    colour = Image(np.stack([gray] * 3, axis=2), "rgb")
+    p = CodecParams.initialize(hidden=(4, 4), seed=16)
+    with pytest.raises(ValueError, match="gray image required"):
+        stage1_step(p, [colour], LossWeights())
+    for pair in ((colour, gray), (gray, np.stack([gray] * 3, axis=2))):
+        with pytest.raises(ValueError, match="gray image required"):
+            stage2_step(p.with_freeze("encoder"), [pair], LossWeights())
+
+
 class TestStage2:
     def test_encoder_bitwise_frozen(self):
         p = CodecParams.initialize(hidden=(4, 6), seed=13).with_freeze("encoder")

@@ -289,3 +289,86 @@ class TestAnalyticGaussianVelocity:
 def test_mlp_rejects_a_leaky_slope_outside_zero_one(alpha):
     with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
         VelocityModel.mlp(dim=4, hidden=(3,), alpha=alpha)
+
+
+# -- one forward: evaluate is trace on a constant --------------------------------------
+
+
+def numpy_mlp_forward(model, x, t):
+    """Plain-numpy oracle of the mlp field: rows of dim with t appended, then
+    affine layers with leaky ReLU as max(h, alpha h) between them."""
+    dim = model.meta["dim"]
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.reshape(-1, dim)
+    tcol = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (rows.shape[0], 1))
+    h = np.concatenate([rows, tcol], axis=1)
+    n_layers = len(model.meta["hidden"]) + 1
+    for i in range(n_layers):
+        h = h @ model.params[f"w{i}"]
+        h += model.params[f"b{i}"]
+        if i < n_layers - 1:
+            np.maximum(h, model.meta["alpha"] * h, out=h)
+    return h.reshape(x.shape)
+
+
+@pytest.mark.parametrize("shape, t", [
+    ((5, 48), 0.37), ((5, 48), np.linspace(0.0, 0.9, 5)), ((48,), 1.0),
+    ((4, 3, 4), 0.5), ((1, 48), 0.0),
+], ids=["batch", "per-row t", "flat", "latent", "one row"])
+def test_mlp_evaluate_matches_a_numpy_forward_bit_for_bit(shape, t):
+    model = VelocityModel.mlp(dim=48, hidden=(32, 16), seed=12)
+    x = np.random.default_rng(12).standard_normal(shape)
+    out = model.evaluate(x, t)
+    assert out.shape == shape
+    assert np.array_equal(out, numpy_mlp_forward(model, x, t))
+
+
+def test_mlp_rejects_a_state_of_another_dim():
+    model = VelocityModel.mlp(dim=6, hidden=(4,), seed=0)
+    for x in (np.zeros((2, 5)), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match=r"does not match model dim 6"):
+            model.evaluate(x, 0.5)
+
+
+def test_mlp_state_gradient_is_the_same_for_a_latent_and_a_row_leaf():
+    import flowfuse.autodiff as ad
+
+    model = VelocityModel.mlp(dim=48, hidden=(32,), seed=13)
+    f = np.random.default_rng(13).standard_normal((4, 3, 4))
+    grads = []
+    for state in (f, f.reshape(1, 48)):
+        x = ad.leaf(state)
+        v = model.trace(x, 0.6)
+        assert v.shape == state.shape
+        loss = ad.reduce_sum((x - v * 0.6) * (x - v * 0.6))
+        grads.append(ad.backward(loss, [x])[x])
+    assert grads[0].shape == (4, 3, 4)
+    assert np.array_equal(grads[0].reshape(1, 48), grads[1])
+
+
+def test_gaussian_trace_takes_one_t_per_row():
+    import flowfuse.autodiff as ad
+
+    model = VelocityModel.analytic_gaussian(0.8, 0.6)
+    x = np.random.default_rng(14).standard_normal((4, 2, 3))
+    t = np.array([0.0, 0.3, 0.7, 1.0])
+    v = model.trace(ad.constant(x), t)
+    assert isinstance(v, ad.Node) and v.shape == x.shape
+    for k in range(4):
+        assert np.array_equal(v.value[k], model.evaluate(x[k], float(t[k]))), k
+
+
+def test_mlp_parameters_follow_param_shapes():
+    from flowfuse.flow import param_shapes
+
+    model = VelocityModel.mlp(dim=6, hidden=(5, 4), seed=2)
+    shapes = param_shapes(6, (5, 4))
+    assert list(shapes) == ["w0", "b0", "w1", "b1", "w2", "b2"]
+    assert shapes["w0"] == (7, 5) and shapes["w2"] == (4, 6) and shapes["b2"] == (6,)
+    assert {k: model.params[k].shape for k in model.params.names()} == shapes
+    # He-normal weights drawn layer by layer from one generator; zero biases
+    rng = np.random.default_rng(2)
+    for i, (fan_in, fan_out) in enumerate([(7, 5), (5, 4), (4, 6)]):
+        want = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
+        assert np.array_equal(model.params[f"w{i}"], want), i
+        assert not model.params[f"b{i}"].any(), i
