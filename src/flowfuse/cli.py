@@ -83,24 +83,37 @@ def _pair_lumas(data_dir: Path) -> list:
     return pairs
 
 
-class LossLog:
-    def __init__(self, path: Path, columns):
-        self.path = Path(path)
-        self.columns = list(columns)
-        self.rows = []
-        self.path.write_text(",".join(["step", *self.columns, "wall_s"]) + "\n")
-
-    def add(self, step: int, values: dict, wall: float) -> None:
-        row = [str(step)] + [f"{values[c]:.8f}" for c in self.columns] + [f"{wall:.6f}"]
-        self.rows.append(row)
-        with self.path.open("a") as fh:
-            fh.write(",".join(row) + "\n")
-
-
 # -- training drivers -------------------------------------------------------------------
 
 
-def train_flow(cfg: Config, outdir: Path, codec_path=None, echo=print):
+def _train(outdir: Path, stage: str, columns, steps: int, step, state, save) -> Path:
+    """Run state, losses = step(k, state) for k = 1..steps, append one
+    <stage>_loss.csv row per step, and save the final state at <stage>.rffz.
+
+    A step raises FloatingPointError when its state's loss is non-finite; the
+    state before it, the last whose loss was finite, is then saved and the
+    error re-raised.
+    """
+    csv, ckpt = outdir / f"{stage}_loss.csv", outdir / f"{stage}.rffz"
+    csv.write_text(",".join(["step", *columns, "wall_s"]) + "\n")
+    prev = state
+    for k in range(1, steps + 1):
+        t0 = time.perf_counter()
+        try:
+            new, losses = step(k, state)
+        except FloatingPointError as err:
+            save(ckpt, prev)
+            raise FloatingPointError(
+                f"step {k}: {err}; last finite state kept at {ckpt}") from err
+        row = [str(k), *(f"{losses[c]:.8f}" for c in columns), f"{time.perf_counter() - t0:.6f}"]
+        with csv.open("a") as fh:
+            fh.write(",".join(row) + "\n")
+        prev, state = state, new
+    save(ckpt, state)
+    return ckpt
+
+
+def train_flow(cfg: Config, outdir: Path, codec_path=None, echo=print) -> Path:
     """Fit the velocity field with the straight-path regression loss.
 
     toy2d couples the 2-D mixture with standard normal noise. The latents
@@ -130,28 +143,22 @@ def train_flow(cfg: Config, outdir: Path, codec_path=None, echo=print):
             x0 = bank[rng.integers(0, bank.shape[0], n)]
             return x0, x0 + sigma * rng.standard_normal(x0.shape)
 
-    model = VelocityModel.mlp(dim, hidden, seed=cfg["run.seed"])
-    log = LossLog(outdir / "flow_loss.csv", ["rf"])
-    last_good = model.params
-    ckpt = outdir / "flow.rffz"
     total = cfg["flow.train_steps"]
     decay_at = int(0.6 * total)  # late fine-tuning phase at lr/6
-    for step in range(1, total + 1):
-        t0 = time.perf_counter()
+
+    def step(k, model):
         x0, eps = draw(cfg["flow.batch"])
         tb = rng.uniform(0.0, 1.0 - time_eps, x0.shape[0])
         loss, grads = rf_loss(model, x0, eps, tb)
         if not np.isfinite(loss):
-            save_flow_checkpoint(ckpt, model.with_params(last_good))
-            raise FloatingPointError(
-                f"non-finite flow loss at step {step}; last finite state kept at {ckpt}")
-        last_good = model.params
-        lr = cfg["flow.lr"] if step <= decay_at else cfg["flow.lr"] / 6.0
-        model = model.with_params(adam_step(model.params, grads, lr))
-        log.add(step, {"rf": loss}, time.perf_counter() - t0)
-    save_flow_checkpoint(ckpt, model)
+            raise FloatingPointError("non-finite flow loss")
+        lr = cfg["flow.lr"] if k <= decay_at else cfg["flow.lr"] / 6.0
+        return model.with_params(adam_step(model.params, grads, lr)), {"rf": loss}
+
+    ckpt = _train(outdir, "flow", ["rf"], total, step,
+                  VelocityModel.mlp(dim, hidden, seed=cfg["run.seed"]), save_flow_checkpoint)
     echo(f"flow model ({dim} dims) -> {ckpt}")
-    return ckpt, log
+    return ckpt
 
 
 def _init_codec(cfg: Config) -> CodecParams:
@@ -162,54 +169,38 @@ def _init_codec(cfg: Config) -> CodecParams:
                                   seed=cfg["run.seed"])
 
 
-def train_codec1(cfg: Config, outdir: Path, echo=print):
+def train_codec1(cfg: Config, outdir: Path, echo=print) -> Path:
     rng = np.random.default_rng(cfg["run.seed"])
     pairs = _pair_lumas(Path(cfg["data.dir"]))
     images = [img for ab in pairs for img in ab]
-    p = _init_codec(cfg)
     w = loss_weights(cfg)
-    log = LossLog(outdir / "codec1_loss.csv", ["l1", "fre", "total"])
-    ckpt = outdir / "codec1.rffz"
-    last_good = p
-    for step in range(1, cfg["codec.train_steps"] + 1):
-        t0 = time.perf_counter()
-        batch = [images[k] for k in rng.integers(0, len(images), cfg["codec.batch"])]
-        try:
-            p, losses = stage1_step(p, batch, w, lr=cfg["codec.lr"])
-        except FloatingPointError:
-            save_codec_checkpoint(ckpt, last_good)
-            raise
-        last_good = p
-        log.add(step, losses, time.perf_counter() - t0)
-    save_codec_checkpoint(ckpt, p)
+
+    def step(k, p):
+        batch = [images[j] for j in rng.integers(0, len(images), cfg["codec.batch"])]
+        return stage1_step(p, batch, w, lr=cfg["codec.lr"])
+
+    ckpt = _train(outdir, "codec1", ["l1", "fre", "total"], cfg["codec.train_steps"], step,
+                  _init_codec(cfg), save_codec_checkpoint)
     echo(f"stage-one codec -> {ckpt}")
-    return ckpt, log
+    return ckpt
 
 
-def train_codec2(cfg: Config, outdir: Path, codec_path, echo=print):
+def train_codec2(cfg: Config, outdir: Path, codec_path, echo=print) -> Path:
     if codec_path is None:
         raise ValueError("stage two requires the stage-one codec checkpoint")
     rng = np.random.default_rng(cfg["run.seed"])
     pairs = _pair_lumas(Path(cfg["data.dir"]))
-    p = load_codec_checkpoint(codec_path).with_freeze("encoder")
     w = loss_weights(cfg)
-    log = LossLog(outdir / "codec2_loss.csv",
-                  ["intensity", "ssim", "grad", "color", "mask", "total"])
-    ckpt = outdir / "codec2.rffz"
-    last_good = p
-    for step in range(1, cfg["codec.train_steps"] + 1):
-        t0 = time.perf_counter()
-        batch = [pairs[k] for k in rng.integers(0, len(pairs), cfg["codec.batch"])]
-        try:
-            p, losses = stage2_step(p, batch, w, lr=cfg["codec.lr"])
-        except FloatingPointError:
-            save_codec_checkpoint(ckpt, last_good)
-            raise
-        last_good = p
-        log.add(step, losses, time.perf_counter() - t0)
-    save_codec_checkpoint(ckpt, p)
+
+    def step(k, p):
+        batch = [pairs[j] for j in rng.integers(0, len(pairs), cfg["codec.batch"])]
+        return stage2_step(p, batch, w, lr=cfg["codec.lr"])
+
+    ckpt = _train(outdir, "codec2", ["intensity", "ssim", "grad", "color", "mask", "total"],
+                  cfg["codec.train_steps"], step,
+                  load_codec_checkpoint(codec_path).with_freeze("encoder"), save_codec_checkpoint)
     echo(f"stage-two codec -> {ckpt}")
-    return ckpt, log
+    return ckpt
 
 
 # -- fusion pipeline --------------------------------------------------------------------

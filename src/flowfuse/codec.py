@@ -287,6 +287,26 @@ def _weighted_sum(parts):
     return out
 
 
+def _update(p: CodecParams, total: ad.Node, losses: dict, stage: str, enc_leaves: dict,
+            dec_leaves: dict, lr, beta1, beta2):
+    """The end of a training step: record total in losses, raise
+    FloatingPointError if it is non-finite, else run one backward into the
+    leaves and one Adam step per parameter set that has leaves; a set without
+    them is carried over as the same object. Returns (new params, losses)."""
+    losses["total"] = float(total.value)
+    if not np.isfinite(losses["total"]):
+        raise FloatingPointError(f"non-finite {stage} loss: {losses}")
+    grads = ad.backward(total, [*enc_leaves.values(), *dec_leaves.values()])
+
+    def adam(pset, leaves):
+        if not leaves:
+            return pset
+        return adam_step(pset, {k: grads[nd] for k, nd in leaves.items()}, lr, beta1, beta2)
+
+    return CodecParams(adam(p.encoder, enc_leaves), adam(p.decoder, dec_leaves), p.in_channels,
+                       p.hidden, p.latent_channels, p.alpha, p.freeze), losses
+
+
 def stage1_step(p: CodecParams, batch, w: LossWeights, lr=1e-3, beta1=0.9, beta2=0.999):
     """One Adam step of encoder + decoder on L1 reconstruction plus the
     spectral loss; returns (updated params, component means). The batch holds
@@ -312,24 +332,8 @@ def stage1_step(p: CodecParams, batch, w: LossWeights, lr=1e-3, beta1=0.9, beta2
     if fre_parts:
         fre = _weighted_sum(fre_parts)
         total = l1 + fre * w.fre
-    losses = {
-        "l1": float(l1.value),
-        "fre": float(fre.value) if fre is not None else 0.0,
-        "total": float(total.value),
-    }
-    if not np.isfinite(losses["total"]):
-        raise FloatingPointError(f"non-finite stage-one loss: {losses}")
-    leaves = {**{f"enc.{k}": nd for k, nd in enc_leaves.items()},
-              **{f"dec.{k}": nd for k, nd in dec_leaves.items()}}
-    grads = ad.backward(total, list(leaves.values()))
-    enc_g = {k: grads[enc_leaves[k]] for k in enc_leaves}
-    dec_g = {k: grads[dec_leaves[k]] for k in dec_leaves}
-    new = CodecParams(
-        adam_step(p.encoder, enc_g, lr, beta1, beta2),
-        adam_step(p.decoder, dec_g, lr, beta1, beta2),
-        p.in_channels, p.hidden, p.latent_channels, p.alpha, p.freeze,
-    )
-    return new, losses
+    losses = {"l1": float(l1.value), "fre": float(fre.value) if fre is not None else 0.0}
+    return _update(p, total, losses, "stage-one", enc_leaves, dec_leaves, lr, beta1, beta2)
 
 
 def stage2_step(p: CodecParams, pairs, w: LossWeights, lr=1e-3, beta1=0.9, beta2=0.999,
@@ -363,16 +367,7 @@ def stage2_step(p: CodecParams, pairs, w: LossWeights, lr=1e-3, beta1=0.9, beta2
             losses[name] += float(node.value) * share
         total_parts.append((_weighted_sum((node, getattr(w, name))
                                           for name, node in terms.items()), share))
-    total_node = _weighted_sum(total_parts)
     losses["color"] = 0.0  # luma-only training path
-    losses["total"] = float(total_node.value)
-    if not np.isfinite(losses["total"]):
-        raise FloatingPointError(f"non-finite stage-two loss: {losses}")
-    grads = ad.backward(total_node, list(dec_leaves.values()))
-    dec_g = {k: grads[dec_leaves[k]] for k in dec_leaves}
-    new = CodecParams(
-        p.encoder,  # same object: bit-identical by construction
-        adam_step(p.decoder, dec_g, lr, beta1, beta2),
-        p.in_channels, p.hidden, p.latent_channels, p.alpha, p.freeze,
-    )
-    return new, losses
+    # no encoder leaves: the frozen encoder is carried over, bit-identical
+    return _update(p, _weighted_sum(total_parts), losses, "stage-two", {}, dec_leaves,
+                   lr, beta1, beta2)

@@ -90,16 +90,20 @@ def luma(img) -> np.ndarray:
 
 # -- histogram ------------------------------------------------------------------
 
+def bins256(a: np.ndarray) -> np.ndarray:
+    """The 256-bin index of each [0, 1] value: bin k covers [k/256, (k+1)/256),
+    the last bin closed at 1."""
+    return np.minimum((a * 256.0).astype(np.int64), 255)
+
+
 def histogram256(img) -> np.ndarray:
-    """256-bin probability histogram; bin k covers [k/256, (k+1)/256), the last
-    bin closed at 1."""
+    """256-bin probability histogram over bins256."""
     a = as_gray(img)
     if a.size == 0:
         raise ValueError("empty image")
     if a.min() < 0.0 or a.max() > 1.0:
         raise ValueError("pixel values outside [0, 1]")
-    bins = np.minimum((a * 256.0).astype(np.int64), 255)
-    counts = np.bincount(bins.ravel(), minlength=256).astype(np.float64)
+    counts = np.bincount(bins256(a).ravel(), minlength=256).astype(np.float64)
     return counts / a.size
 
 

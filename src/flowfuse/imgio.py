@@ -99,7 +99,7 @@ def read_png(path) -> Image:
         raise ValueError(f"{path}: not a PNG file")
     pos = 8
     ihdr = None
-    idat = b""
+    idat = []
     while pos < len(blob):
         if pos + 8 > len(blob):
             raise ValueError(f"{path}: truncated chunk header at byte {pos}")
@@ -120,7 +120,7 @@ def read_png(path) -> Image:
                 raise ValueError(f"{path}: chunk b'IHDR' has {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif tag == b"IEND":
             break
     if ihdr is None:
@@ -135,7 +135,7 @@ def read_png(path) -> Image:
     size = h * (1 + w * nch)
     try:
         # at most one byte past the promised size: enough to tell that it is too long
-        raw = zlib.decompressobj().decompress(idat, size + 1)
+        raw = zlib.decompressobj().decompress(b"".join(idat), size + 1)
     except zlib.error as exc:
         raise ValueError(f"{path}: corrupt data in chunk b'IDAT': {exc}") from exc
     if len(raw) != size:
@@ -160,6 +160,9 @@ def write_pnm(path, img: Image) -> None:
 
 
 def read_pnm(path) -> Image:
+    """Read a binary PGM (P5) or PPM (P6) with maxval 255. A truncated
+    header, a header field that is not a decimal integer and a short payload
+    are ValueErrors naming the path."""
     blob = Path(path).read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
         raise ValueError(f"{path}: not a binary PGM/PPM file")
@@ -169,17 +172,23 @@ def read_pnm(path) -> Image:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
             pos += 1
         if blob[pos : pos + 1] == b"#":
-            while blob[pos : pos + 1] != b"\n":
-                pos += 1
+            end = blob.find(b"\n", pos)
+            pos = len(blob) if end < 0 else end
             continue
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise ValueError(f"{path}: truncated header" if start == pos else
+                             f"{path}: header field {blob[start:pos]!r} is not a decimal integer")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+    if len(blob) - pos < h * w * nch:
+        raise ValueError(f"{path}: payload holds {max(len(blob) - pos, 0)} bytes, but "
+                         f"{w}x{h} with {nch} channel(s) needs {h * w * nch}")
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w * nch, offset=pos)
     if nch == 1:
         return from_bytes_u8(data.reshape(h, w).copy())

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import _fft2_raw, _pad_pow2
-from .image import as_gray, correlate1d_valid, gaussian_blur, gaussian_window1d, histogram256
+from .image import (as_gray, bins256, correlate1d_valid, gaussian_blur, gaussian_window1d,
+                    histogram256)
 
 _COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
@@ -54,17 +55,13 @@ def entropy(x) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def _bins256(a: np.ndarray) -> np.ndarray:
-    return np.minimum((a * 256.0).astype(np.int64), 255)
-
-
 def mutual_information(f, s) -> float:
     """MI between two gray images over the shared 256-bin quantization."""
     a, b = as_gray(f), as_gray(s)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     joint = np.bincount(
-        (_bins256(a) * 256 + _bins256(b)).ravel(), minlength=256 * 256
+        (bins256(a) * 256 + bins256(b)).ravel(), minlength=256 * 256
     ).reshape(256, 256).astype(np.float64)
     joint /= joint.sum()
     pa = joint.sum(axis=1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowfuse.image import Image
-from flowfuse.imgio import load_image, read_png, save_image, write_png
+from flowfuse.imgio import load_image, read_png, read_pnm, save_image, write_png
 
 
 def random_image(shape, seed, space=None):
@@ -174,3 +174,80 @@ def test_any_flipped_byte_of_a_png_is_rejected(tmp_path, data):
     p.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         read_png(p)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (5, 6, 3)])
+def test_png_with_idat_split_over_chunks_decodes_the_same(tmp_path, shape):
+    img = random_image(shape, 5, "rgb" if len(shape) == 3 else None)
+    whole = tmp_path / "whole.png"
+    write_png(whole, img)
+    raw = np.round(img.pixels * 255).astype(np.uint8).reshape(shape[0], -1)
+    stream = zlib.compress(b"".join(b"\x00" + row.tobytes() for row in raw))
+    cuts = [0, 1, 2, 9, len(stream) // 2, len(stream)]  # pieces of 1, 1, 7 and more bytes
+    ihdr = struct.pack(">IIBBBBB", shape[1], shape[0], 8, 0 if len(shape) == 2 else 2, 0, 0, 0)
+    blob = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+    blob += b"".join(_chunk(b"IDAT", stream[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+    split = tmp_path / "split.png"
+    split.write_bytes(blob + _chunk(b"IEND", b""))
+    assert np.array_equal(read_png(split).pixels, read_png(whole).pixels)
+    assert np.array_equal(read_png(split).pixels, img.pixels)
+
+
+# -- malformed PGM/PPM files: each a ValueError naming the path ---------------------------
+
+
+MALFORMED_PNM = {
+    "comment runs to the end": (b"P5\n4 4\n# comment", r"truncated header"),
+    "no maxval": (b"P5\n4 4\n", r"truncated header"),
+    "non-integer field": (b"P5\n4 x4\n255\n" + bytes(16),
+                          r"header field b'x4' is not a decimal integer"),
+    "signed field": (b"P5\n-4 4\n255\n" + bytes(16), r"header field b'-4' is not"),
+    "short payload": (b"P5\n4 4\n255\n" + bytes(15),
+                      r"payload holds 15 bytes, but 4x4 with 1 channel\(s\) needs 16"),
+    "no payload": (b"P6\n2 2\n255", r"payload holds 0 bytes, but 2x2 with 3 channel\(s\)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PNM.values(), ids=MALFORMED_PNM.keys())
+def test_malformed_pnm_rejected_naming_path(tmp_path, case):
+    blob, match = case
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(blob)
+    with pytest.raises(ValueError, match=match) as err:
+        read_pnm(p)
+    assert str(p) in str(err.value)
+
+
+_PNM_SPACE = st.sampled_from([b" ", b"\n", b"\t", b"\r"])
+_PNM_COMMENT = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+
+
+@st.composite
+def commented_pnm(draw):
+    """(file bytes, pixel shape, payload) of a valid PGM or PPM whose header
+    holds at least one comment."""
+    nch = draw(st.sampled_from([1, 3]))
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    comments = draw(st.lists(st.one_of(st.just(b""), _PNM_COMMENT), min_size=3, max_size=3)
+                    .filter(any))
+    seps = [draw(_PNM_SPACE) + c for c in comments]
+    payload = draw(st.binary(min_size=h * w * nch, max_size=h * w * nch))
+    header = (b"P5" if nch == 1 else b"P6") + seps[0] + str(w).encode() + seps[1]
+    header += str(h).encode() + seps[2] + b"255" + draw(_PNM_SPACE)
+    return header + payload, (h, w) if nch == 1 else (h, w, 3), payload
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=commented_pnm())
+def test_every_truncated_prefix_of_a_commented_pnm_is_rejected(tmp_path, case):
+    blob, shape, payload = case
+    p = tmp_path / "cut.pnm"
+    p.write_bytes(blob)
+    back = read_pnm(p)
+    assert np.array_equal(back.pixels, np.frombuffer(payload, np.uint8).reshape(shape) / 255.0)
+    for n in range(len(blob)):
+        p.write_bytes(blob[:n])
+        with pytest.raises(ValueError) as err:
+            read_pnm(p)
+        assert str(p) in str(err.value), n

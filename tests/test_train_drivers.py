@@ -35,14 +35,14 @@ def test_codec_training_resumes_from_checkpoint(tiny_data, tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     cfg = _cfg(tiny_data)
-    ckpt, _ = cli.train_codec1(cfg, out, echo=lambda *_: None)
+    ckpt = cli.train_codec1(cfg, out, echo=lambda *_: None)
     first = load_checkpoint(ckpt)
     assert int(first["codec.enc.step"]) == 6
 
     out2 = tmp_path / "run2"
     out2.mkdir()
     cfg2 = _cfg(tiny_data, **{"codec.resume": str(ckpt)})
-    ckpt2, _ = cli.train_codec1(cfg2, out2, echo=lambda *_: None)
+    ckpt2 = cli.train_codec1(cfg2, out2, echo=lambda *_: None)
     resumed = load_checkpoint(ckpt2)
     assert int(resumed["codec.enc.step"]) == 12  # moments and step carried over
 
@@ -85,11 +85,51 @@ def test_nan_loss_aborts_and_keeps_last_finite_state(tiny_data, tmp_path, monkey
     assert len((out / "flow_loss.csv").read_text().splitlines()) == 1 + 3
 
 
+def _poison_fourth_call(monkeypatch, name):
+    real = getattr(cli, name)
+    calls = {"n": 0}
+
+    def poisoned(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 4:
+            raise FloatingPointError("non-finite test loss")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, poisoned)
+
+
+def test_codec_nan_loss_keeps_last_finite_state(tiny_data, tmp_path, monkeypatch):
+    # the same rule as the flow stage: the state whose loss blew up at call 4
+    # (three updates) is discarded, and the one before it is kept
+    out = tmp_path / "run"
+    out.mkdir()
+    _poison_fourth_call(monkeypatch, "stage1_step")
+    with pytest.raises(FloatingPointError, match="step 4: non-finite"):
+        cli.train_codec1(_cfg(tiny_data), out, echo=lambda *_: None)
+    kept = load_checkpoint(out / "codec1.rffz")
+    assert int(kept["codec.enc.step"]) == 2
+    assert len((out / "codec1_loss.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_codec2_nan_loss_keeps_last_finite_state(tiny_data, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    cfg = _cfg(tiny_data)
+    stage_one = cli.train_codec1(cfg, out, echo=lambda *_: None)
+    _poison_fourth_call(monkeypatch, "stage2_step")
+    with pytest.raises(FloatingPointError, match="step 4: non-finite"):
+        cli.train_codec2(cfg, out, codec_path=stage_one, echo=lambda *_: None)
+    kept = load_checkpoint(out / "codec2.rffz")
+    assert int(kept["codec.enc.step"]) == 6  # frozen: stage one's count
+    assert int(kept["codec.dec.step"]) == 6 + 2
+    assert len((out / "codec2_loss.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_resumed_codec_matches_architecture(tiny_data, tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     cfg = _cfg(tiny_data)
-    ckpt, _ = cli.train_codec1(cfg, out, echo=lambda *_: None)
+    ckpt = cli.train_codec1(cfg, out, echo=lambda *_: None)
     codec = load_codec_checkpoint(ckpt)
     assert codec.hidden == (4, 6)
     assert codec.latent_channels == 4
