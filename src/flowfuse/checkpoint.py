@@ -12,14 +12,16 @@ Layout (all integers little-endian):
         extents  rank x u64
         payload  float64 little-endian (complex as re/im pairs)
 
-Round-trips are bit-identical: payloads are the raw float64 buffers.
+Round-trips are bit-identical: payloads are the raw float64 buffers. The
+writer streams each tensor's own buffer to the file and the reader reads each
+payload straight into its array, so neither holds a second copy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -37,11 +39,13 @@ def _pack_paramset(prefix: str, pset, out: dict) -> None:
         out[f"{prefix}.{k}.v"] = pset.v[k]
 
 
-def _unpack_paramset(path, prefix: str, tensors: dict, shapes: dict):
+def _unpack_paramset(path, prefix: str, tensors: dict, shapes: dict, moments: bool = True):
     """The ParamSet saved under prefix, whose parameters must be exactly
     shapes (name -> shape, in parameter order), each with its two Adam moments
-    of the same shape. A missing tensor, a wrong shape, and a tensor under
-    prefix that is none of these are ValueErrors naming the path and tensor."""
+    of the same shape; without moments the set gets zero moments instead of
+    the stored ones. A missing tensor, a wrong shape, a tensor under prefix
+    that is none of these, and a step that is not a count are ValueErrors
+    naming the path and tensor."""
     from .optim import ParamSet
 
     want = {f"{prefix}.step": ()}
@@ -58,10 +62,16 @@ def _unpack_paramset(path, prefix: str, tensors: dict, shapes: dict):
         if key.startswith(prefix + ".") and key not in want:
             raise ValueError(f"{path}: unexpected tensor {key}")
 
+    step = float(tensors[f"{prefix}.step"])
+    if not (step.is_integer() and step >= 0):
+        raise ValueError(f"{path}: tensor {prefix}.step holds {step}, "
+                         "expected a non-negative integer")
+
     def part(suffix):
         return {name: tensors[f"{prefix}.{name}{suffix}"] for name in shapes}
 
-    return ParamSet(part(""), part(".m"), part(".v"), int(tensors[f"{prefix}.step"]))
+    m, v = (part(".m"), part(".v")) if moments else (None, None)
+    return ParamSet(part(""), m, v, int(step))
 
 
 def save_codec_checkpoint(path, codec) -> None:
@@ -122,66 +132,102 @@ def save_flow_checkpoint(path, model) -> None:
 def load_flow_checkpoint(path):
     from .flow import VelocityModel, param_shapes
 
-    tensors = load_checkpoint(path)
+    # Inference never reads the Adam moments, and flow training starts afresh,
+    # so their payloads stay on disk; their names, shapes and bytes are checked.
+    tensors = _read(path, skip=lambda name: name.startswith("flow.params.")
+                    and name.endswith((".m", ".v")))
     if "flow.meta" not in tensors:
         raise ValueError(f"{path}: not a velocity-model checkpoint")
     dim, alpha = _meta(path, tensors, "flow.meta", 2, slope=True)
     hidden = _meta(path, tensors, "flow.hidden")
-    params = _unpack_paramset(path, "flow.params", tensors, param_shapes(dim, hidden))
+    params = _unpack_paramset(path, "flow.params", tensors, param_shapes(dim, hidden),
+                              moments=False)
     return VelocityModel("mlp", params, dim=dim, hidden=hidden, alpha=alpha)
 
 
 def save_checkpoint(path, tensors: dict) -> None:
-    """Write {name: float64/complex128 ndarray} to the container."""
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+    """Write {name: real or complex ndarray} to the container, streaming each
+    tensor's own buffer: reals are stored as float64, complexes as complex128.
+    A tensor of any other dtype is a ValueError naming it, raised before the
+    file is opened."""
     for name, arr in tensors.items():
-        a = np.asarray(arr)
-        if a.dtype == np.complex128:
-            tag = 2
-        else:
-            a = a.astype(np.float64, copy=False)
-            tag = 1
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<BB", tag, a.ndim))
-        parts.append(struct.pack(f"<{a.ndim}Q", *a.shape) if a.ndim else b"")
-        parts.append(np.ascontiguousarray(a).astype("<c16" if tag == 2 else "<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        if (dtype := np.asarray(arr).dtype).kind not in "iufc":
+            raise ValueError(f"{path}: tensor {name!r} has dtype {dtype}, "
+                             "expected a real or complex number")
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+        for name, arr in tensors.items():
+            a = np.asarray(arr)
+            tag = 2 if a.dtype.kind == "c" else 1
+            # astype keeps a 0-d array 0-d, where ascontiguousarray would not
+            a = a.astype("<c16" if tag == 2 else "<f8", order="C", copy=False)
+            nb = name.encode("utf-8")
+            f.write(struct.pack(f"<I{len(nb)}sBB{a.ndim}Q", len(nb), nb, tag, a.ndim, *a.shape))
+            f.write(a.data)
 
 
 def load_checkpoint(path) -> dict:
     """Read a container back into {name: ndarray}; rejects a version mismatch,
     and a truncated file with the field it was reading."""
-    blob = Path(path).read_bytes()
-    pos = 0
+    return _read(path)
 
-    def take(size: int, what: str) -> int:
-        """Claim the next size bytes for what; returns their offset."""
-        nonlocal pos
-        if pos + size > len(blob):
-            raise ValueError(f"{path}: truncated at byte {len(blob)} while reading {what}")
-        pos += size
-        return pos - size
 
-    take(4, "the magic")
-    if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint container (bad magic)")
-    version, count = struct.unpack_from("<II", blob, take(8, "the version and tensor count"))
-    if version != VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {version} not supported (expected {VERSION})"
-        )
-    out = {}
-    for i in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, take(4, f"tensor {i}'s name length"))
-        name = blob[take(name_len, f"tensor {i}'s name") : pos].decode("utf-8")
-        tag, rank = struct.unpack_from("<BB", blob, take(2, f"tensor {name!r}'s dtype and rank"))
-        shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"tensor {name!r}'s extents"))
-        if tag not in (1, 2):
-            raise ValueError(f"{path}: unknown dtype tag {tag}")
-        dtype = np.dtype("<f8" if tag == 1 else "<c16")
-        n = math.prod(shape)
-        offset = take(dtype.itemsize * n, f"tensor {name!r}'s payload")
-        out[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=offset).copy().reshape(shape)
+def _read(path, skip=lambda name: False) -> dict:
+    """The container's tensors, each payload read straight into its own array
+    once the file is known to hold it. A tensor whose name skip accepts is not
+    read: it comes back as a read-only zero view of its shape, its payload
+    only checked to exist. Every fault, a file that shrinks while it is read
+    included, is a ValueError naming the path."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pos = 0
+
+        def take(n: int, what: str) -> int:
+            """Claim the next n bytes for what; returns n."""
+            nonlocal pos
+            if pos + n > size:
+                raise ValueError(f"{path}: truncated at byte {size} while reading {what}")
+            pos += n
+            return n
+
+        def read(n: int, what: str) -> bytes:
+            if len(data := f.read(take(n, what))) != n:
+                raise ValueError(f"{path}: shrank while reading {what}")
+            return data
+
+        if read(4, "the magic") != MAGIC:
+            raise ValueError(f"{path}: not a checkpoint container (bad magic)")
+        version, count = struct.unpack("<II", read(8, "the version and tensor count"))
+        if version != VERSION:
+            raise ValueError(
+                f"{path}: checkpoint version {version} not supported (expected {VERSION})"
+            )
+        out = {}
+        for i in range(count):
+            (name_len,) = struct.unpack("<I", read(4, f"tensor {i}'s name length"))
+            raw = read(name_len, f"tensor {i}'s name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: tensor {i}'s name is not UTF-8") from None
+            if name in out:
+                raise ValueError(f"{path}: duplicate tensor {name!r}")
+            tag, rank = struct.unpack("<BB", read(2, f"tensor {name!r}'s dtype and rank"))
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank, f"tensor {name!r}'s extents"))
+            if tag not in (1, 2):
+                raise ValueError(f"{path}: unknown dtype tag {tag}")
+            dtype = np.dtype("<f8" if tag == 1 else "<c16")
+            nbytes = take(dtype.itemsize * math.prod(shape), f"tensor {name!r}'s payload")
+            try:  # the bytes fit, but an empty tensor's other extents may not
+                out[name] = (np.broadcast_to(np.zeros((), dtype), shape) if skip(name)
+                             else np.empty(shape, dtype))
+            except ValueError as err:
+                raise ValueError(f"{path}: tensor {name!r} has shape {shape}: {err}") from None
+            if skip(name):
+                f.seek(nbytes, os.SEEK_CUR)
+            elif f.readinto(out[name].data) != nbytes:
+                raise ValueError(f"{path}: shrank while reading tensor {name!r}'s payload")
+        if pos != size:
+            last = f"tensor {name!r}" if count else "the header"
+            raise ValueError(f"{path}: {size - pos} bytes after {last}")
     return out

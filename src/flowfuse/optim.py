@@ -17,8 +17,8 @@ class ParamSet:
 
     def __init__(self, params: dict, m=None, v=None, step: int = 0):
         self.params = {k: np.asarray(p, dtype=np.float64) for k, p in params.items()}
-        self.m = m if m is not None else {k: np.zeros_like(p) for k, p in self.params.items()}
-        self.v = v if v is not None else {k: np.zeros_like(p) for k, p in self.params.items()}
+        self.m = m if m is not None else {k: np.zeros(p.shape) for k, p in self.params.items()}
+        self.v = v if v is not None else {k: np.zeros(p.shape) for k, p in self.params.items()}
         self.step = step
         for k in self.params:
             if self.m[k].shape != self.params[k].shape or self.v[k].shape != self.params[k].shape:
