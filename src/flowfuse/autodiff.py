@@ -200,15 +200,22 @@ def reshape(x, shape) -> Node:
 # -- convolutions --------------------------------------------------------------------
 
 
+def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """x with ph rows and pw columns of zeros on each side of its two spatial
+    axes; x itself when both are 0."""
+    if not (ph or pw):
+        return x
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = x
+    return out
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad):
     """Windows of x as (n, c·kh·kw, oh·ow), after pad = (rows, cols) zeros on
     each side of the two spatial axes."""
+    x = _padded(x, *pad)
     n, c, h, w = x.shape
-    ph, pw = pad
-    if ph or pw:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        padded[:, :, ph : ph + h, pw : pw + w] = x
-        x, h, w = padded, h + 2 * ph, w + 2 * pw
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
@@ -237,8 +244,28 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
     """NCHW convolution (cross-correlation), weights (C_out, C_in, kh, kw).
 
     pad zeros on each side, 0 <= pad < min(kh, kw), and the padded input
-    must hold at least one kernel window. The input gradient takes one of
-    two formulas, chosen by geometry:
+    must hold at least one kernel window. The forward takes one of two
+    formulas, chosen by geometry alone, so that a graph that trains and one
+    that only infers compute the same bits:
+
+    - stride 1 and C_out < C_in: weights first. One GEMM of the
+      (kh·kw·C_out, C_in) tap weights by the padded input gives kh·kw tap
+      planes of C_out channels, summed into the output by shifted-slice
+      adds in row-major tap order;
+    - otherwise: im2col, one GEMM of the (C_out, C_in·kh·kw) weights by the
+      C_in·kh·kw rows of input windows.
+
+    The buffer each builds has C_out·k² rows for weights first against
+    C_in·k² for im2col, so weights first is taken where C_out < C_in: for
+    the encoder's 64 -> 4 latent layer 36 rows against 576, and no 4.7 MB
+    window matrix at 128 px. At stride 2 the tap planes would cover every
+    input pixel while the output keeps one in four, so three quarters of
+    their taps would be wasted, and im2col stays. The weight gradient reads
+    the windows: im2col keeps its own when the weight takes a gradient, and
+    weights first builds them inside the vjp from the input's value, so a
+    forward-only graph never builds them.
+
+    The input gradient takes one of two formulas, also chosen by geometry:
 
     - stride 1 and C_out <= C_in: the correlation of the output gradient,
       padded by (kh-1-pad, kw-1-pad), with the kernel flipped in both
@@ -272,11 +299,15 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
         raise ValueError(
             f"conv2d input {x.shape} padded by {pad} is smaller than the kernel {w.shape}"
         )
-    cols, oh, ow = _im2col(x.value, kh, kw, stride, (pad, pad))
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1
     wmat = w.value.reshape(cout, cin * kh * kw)
-    out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
-    if not w.requires_grad:
-        cols = None  # only dw reads the windows; do not keep them with the graph
+    if stride == 1 and cout < cin:
+        out, cols = _conv_weights_first(x.value, w.value, pad), None
+    else:
+        cols, _, _ = _im2col(x.value, kh, kw, stride, (pad, pad))
+        out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
+        if not w.requires_grad:
+            cols = None  # only dw reads the windows; do not keep them with the graph
 
     def vjp(g):
         # no product for an operand that takes no gradient (backward skips None)
@@ -290,10 +321,29 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
         elif x.requires_grad:
             dx = _col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, pad)
         if w.requires_grad:
-            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            win = cols if cols is not None else _im2col(x.value, kh, kw, stride, (pad, pad))[0]
+            dw = np.matmul(gmat, win.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return dx, dw
 
     return Node(out, (x, w), vjp, op="conv2d")
+
+
+def _conv_weights_first(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
+    """Stride-1 conv2d forward as one GEMM of the (kh·kw·C_out, C_in) tap
+    weights by the padded input (C_in, Hp·Wp), then the kh·kw tap planes
+    summed into the output by shifted-slice adds, in row-major tap order."""
+    cout, cin, kh, kw = w.shape
+    xp = _padded(x, pad, pad)
+    n, _, hp, wp = xp.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    planes = np.matmul(taps, xp.reshape(n, cin, hp * wp)).reshape(n, kh, kw, cout, hp, wp)
+    out = planes[:, 0, 0, :, :oh, :ow].copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                out += planes[:, i, j, :, i : i + oh, j : j + ow]
+    return out
 
 
 def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:

@@ -18,16 +18,19 @@ class ConfigError(ValueError):
 
 
 class Bound(NamedTuple):
-    """Lower bound on a finite numeric value."""
+    """Lower bound on a finite numeric value, and an optional exclusive upper end."""
 
     low: float
     strict: bool = False
+    high: float | None = None  # values must lie below it
 
     def admits(self, v) -> bool:
-        return math.isfinite(v) and (v > self.low if self.strict else v >= self.low)
+        return (math.isfinite(v) and (v > self.low if self.strict else v >= self.low)
+                and (self.high is None or v < self.high))
 
     def __str__(self):
-        return f"a finite number {'>' if self.strict else '>='} {self.low:g}"
+        text = f"a finite number {'>' if self.strict else '>='} {self.low:g}"
+        return text if self.high is None else f"{text} and < {self.high:g}"
 
 
 _COUNT = Bound(1)  # steps, batch sizes, iterations
@@ -45,7 +48,7 @@ SCHEMA = {
     "flow.lr": (float, 1e-3, _RATE),
     "flow.batch": (int, 64, _COUNT),
     "flow.data": (str, "latents", ("latents", "toy2d")),
-    "flow.time_eps": (float, 1e-3, None),
+    "flow.time_eps": (float, 1e-3, Bound(0.0, high=1.0)),
     "guidance.rho": (float, 0.5, _WEIGHT),
     "guidance.schedule": (str, "constant", ("constant", "linear-decay")),
     "guidance.measurement": (str, "weighted-target", ("weighted-target", "em-prior")),
@@ -64,8 +67,8 @@ SCHEMA = {
     "codec.resume": (str, "", None),
     "data.dir": (str, "", None),
     "data.kind": (str, "ivif", ("ivif", "mef", "mff")),
-    "data.count": (int, 16, None),
-    "data.size": (int, 32, None),
+    "data.count": (int, 16, _COUNT),
+    "data.size": (int, 32, _COUNT),
 }
 
 

@@ -50,7 +50,9 @@ def write_png(path, img: Image) -> None:
     raw = data.reshape(h, -1)
     scanlines = b"".join(b"\x00" + raw[r].tobytes() for r in range(h))
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    blob = _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(scanlines, 9))
+    # level 6, the zlib and libpng default: on fused 128 px images it is
+    # faster than level 9 for at most 0.4% more bytes
+    blob = _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(scanlines, 6))
     blob += _chunk(b"IEND", b"")
     Path(path).write_bytes(blob)
 

@@ -159,6 +159,9 @@ def test_concat_cols_gradients():
     pytest.param(2, 1, 4, 2, 3, 3, id="2-1-cout<cin"),
     pytest.param(1, 0, 2, 1, 1, 5, id="1-0-row-kernel"),
     pytest.param(1, 0, 1, 1, 5, 1, id="1-0-column-kernel"),
+    # weights-first forward: dw reads windows the vjp builds from the input
+    pytest.param(1, 0, 4, 2, 3, 3, id="1-0-cout<cin"),
+    pytest.param(1, 0, 3, 2, 1, 5, id="1-0-row-kernel-cout<cin"),
 ])
 def test_conv2d_gradients(stride, pad, cin, cout, kh, kw):
     rng = np.random.default_rng(2)
@@ -468,6 +471,77 @@ def test_backward_rejects_a_node_that_takes_no_gradient():
     c = ad.constant(np.ones(3))
     with pytest.raises(ValueError, match="takes no gradient"):
         ad.backward(ad.reduce_sum(x * c), [x, c])
+
+
+# -- the weights-first forward of a stride-1 conv2d with C_out < C_in ------------------------
+
+
+def _window_conv(x, w, pad):
+    """Stride-1 conv2d from an explicit (n, C_in, kh, kw, oh, ow) window array."""
+    cout, cin, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    win = np.empty((x.shape[0], cin, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            win[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
+    return np.einsum("ocij,ncijyx->noyx", w, win)
+
+
+# (C_in, C_out, kh, kw, pad), all with C_out < C_in
+WEIGHTS_FIRST_CASES = {
+    "3x3 pad 0": (5, 2, 3, 3, 0),
+    "3x3 pad 1": (5, 2, 3, 3, 1),
+    "1x5 pad 0": (3, 1, 1, 5, 0),
+    "5x1 pad 0": (3, 2, 5, 1, 0),
+    "encoder layer 3": (64, 4, 3, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", WEIGHTS_FIRST_CASES.values(), ids=WEIGHTS_FIRST_CASES.keys())
+def test_conv2d_weights_first_forward_matches_the_windows(case):
+    cin, cout, kh, kw, pad = case
+    rng = np.random.default_rng(31)
+    x0 = rng.standard_normal((2, cin, 7, 9))
+    w0 = rng.standard_normal((cout, cin, kh, kw))
+    got = ad.conv2d(ad.constant(x0), ad.constant(w0), 1, pad).value
+    want = _window_conv(x0, w0, pad)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # one forward formula, whichever operands take a gradient
+    assert np.array_equal(ad.conv2d(ad.leaf(x0), ad.leaf(w0), 1, pad).value, got)
+
+
+@pytest.mark.parametrize("case", WEIGHTS_FIRST_CASES.values(), ids=WEIGHTS_FIRST_CASES.keys())
+def test_conv2d_weights_first_batch_equals_each_image(case):
+    cin, cout, kh, kw, pad = case
+    rng = np.random.default_rng(32)
+    x0 = rng.standard_normal((3, cin, 8, 6))
+    w_node = ad.constant(rng.standard_normal((cout, cin, kh, kw)))
+    batch = ad.conv2d(ad.constant(x0), w_node, 1, pad).value
+    for k in range(len(x0)):
+        assert np.array_equal(batch[k], ad.conv2d(ad.constant(x0[k : k + 1]), w_node, 1,
+                                                  pad).value[0])
+
+
+def test_conv2d_weights_first_builds_no_windows():
+    # the encoder's last layer: im2col would build 576 window rows of 32 x 32
+    # pixels; weights-first builds 36 tap planes of 34 x 34 and the padded input
+    import tracemalloc
+
+    rng = np.random.default_rng(33)
+    x0 = rng.standard_normal((1, 64, 32, 32))
+    w0 = rng.standard_normal((4, 64, 3, 3))
+    windows = 64 * 9 * 32 * 32 * 8
+    for w_node in (ad.constant(w0), ad.leaf(w0)):
+        tracemalloc.start()
+        try:
+            y = ad.conv2d(ad.constant(x0), w_node, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < windows / 2, (w_node.op, peak)
+        del y
 
 
 # -- the two input-gradient formulas of conv2d ---------------------------------------------

@@ -255,6 +255,25 @@ def test_fuse_step_count_invariant_for_constant_field(workspace, tmp_path):
     assert np.abs(outs[0] - outs[1]).max() < 1e-12
 
 
+def test_synth_with_a_negative_count_exits_non_zero_naming_the_key(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flowfuse
+
+    src = str(Path(flowfuse.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "flowfuse.cli", "--out", str(tmp_path / "o"),
+                          "synth", "--count", "-3", "--size", "16"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode != 0
+    assert "data.count must be a finite number >= 1, got -3" in run.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_fails_with_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("flow.stepz = 3\n")

@@ -549,3 +549,33 @@ def test_stage2_backward_calls_no_vjp_of_the_frozen_encoder(monkeypatch):
     assert sum(n.op == "conv2d" for n in encoder_nodes) == 3
     assert not any(n.requires_grad for n in encoder_nodes)
     assert called == []
+
+
+def test_encode_equals_the_stage1_graph_bit_for_bit():
+    # inference builds constants and stage one builds leaves; conv2d picks its
+    # forward by geometry alone, so both run the same formulas
+    from flowfuse.codec import _encode_nodes, _leaf_getter
+
+    p = CodecParams.initialize(seed=34)
+    imgs = textures(3, 32, 34)
+    get_e, _ = _leaf_getter(p.encoder)
+    z = _encode_nodes(get_e, p, ad.constant(np.stack(imgs)[:, None]))
+    assert z.requires_grad
+    for k, img in enumerate(imgs):
+        assert np.array_equal(encode(p, img).data, z.value[k])
+
+
+def test_encode_peak_memory_at_128_px():
+    # the latent layer runs weights first, so encode never holds the 4.5 MiB
+    # window matrix of its 64-channel input
+    import tracemalloc
+
+    p = CodecParams.initialize(seed=35)
+    img = np.random.default_rng(35).random((128, 128))
+    tracemalloc.start()
+    try:
+        encode(p, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20, peak / 2**20

@@ -68,6 +68,11 @@ def test_override_bad_value_names_key():
     ("flow.steps", "0", ">= 1, got 0"),
     ("codec.batch", "-3", ">= 1, got -3"),
     ("codec.lr", "nan", "> 0, got nan"),
+    ("flow.time_eps", "1.5", ">= 0 and < 1, got 1.5"),
+    ("flow.time_eps", "1", ">= 0 and < 1, got 1.0"),
+    ("flow.time_eps", "-0.5", ">= 0 and < 1, got -0.5"),
+    ("data.count", "-3", ">= 1, got -3"),
+    ("data.size", "0", ">= 1, got 0"),
 ])
 def test_out_of_range_values_rejected_in_files_and_overrides(key, val, why):
     with pytest.raises(ConfigError, match=f"line 2: {key} must be a finite number {why}"):
@@ -77,9 +82,12 @@ def test_out_of_range_values_rejected_in_files_and_overrides(key, val, why):
 
 
 def test_range_edges_accepted():
-    cfg = parse_config("guidance.rho = 0\ncodec.lambda_color = 0\nflow.steps = 1\n",
+    cfg = parse_config("guidance.rho = 0\ncodec.lambda_color = 0\nflow.steps = 1\n"
+                       "flow.time_eps = 0\n",
                        overrides={"flow.lr": "1e-9", "guidance.em_iters": "1"})
     assert (cfg["guidance.rho"], cfg["flow.steps"], cfg["flow.lr"]) == (0.0, 1, 1e-9)
+    assert cfg["flow.time_eps"] == 0.0
+    assert parse_config(overrides={"flow.time_eps": "0.999"})["flow.time_eps"] == 0.999
     for key, val in (("guidance.rho", "-0.1"), ("codec.lambda_mask", "inf"), ("flow.lr", "0")):
         with pytest.raises(ConfigError, match=key):
             parse_config(overrides={key: val})
