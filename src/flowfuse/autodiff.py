@@ -5,14 +5,15 @@ value, references to its parents, and a vector-Jacobian closure. Graphs are
 rebuilt per step; backward() walks the DAG in reverse topological order and
 accumulates adjoints. Primitives:
 
-    add, sub, mul, div, matmul, column concat, reshape, conv2d (stride 1|2),
-    transposed conv2d, leaky_relu, tanh, log1p, abs (subgradient 0 at 0),
-    sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
-    normalize (per slice over the trailing two axes), clamp (identity inside
-    the bounds, zero outside).
+    add, sub, mul, div, matmul, column concat, reshape, conv2d (stride 1|2)
+    and its adjoint transposed conv2d, leaky_relu, tanh, log1p, abs
+    (subgradient 0 at 0), sum, mean, fft2 (complex, linear adjoint), complex
+    magnitude, min-max normalize (per slice over the trailing two axes), clamp
+    (identity inside the bounds, zero outside).
 
 conv2d, transposed conv2d and fft2 take a leading batch axis, so a batch of
-images runs as one graph.
+images runs as one graph. transposed conv2d runs conv2d's kernels in reverse:
+its forward is conv2d's input gradient, and its input gradient conv2d's forward.
 
 A leaf takes a gradient and a constant does not; an op node takes one iff
 one of its parents does. So a graph over frozen parameters or fixed data,
@@ -198,6 +199,9 @@ def reshape(x, shape) -> Node:
 
 
 # -- convolutions --------------------------------------------------------------------
+# conv2d and transposed_conv2d are built from the three kernels below. Each
+# picks its formula by geometry alone, so that a graph that trains and one that
+# only infers compute the same bits. A kernel's pad is a (rows, cols) pair.
 
 
 def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -212,41 +216,37 @@ def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad):
-    """Windows of x as (n, c·kh·kw, oh·ow), after pad = (rows, cols) zeros on
-    each side of the two spatial axes."""
+    """Windows of x after pad zeros as (n, c·kh·kw, oh·ow), and oh, ow. The
+    padded copy is freed on return: only the windows are kept."""
     x = _padded(x, *pad)
     n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
-    )
+        x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
     return win.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, pad: int):
-    n, c, h, w = xshape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
-    out = np.zeros((n, c, hp, wp))
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += d6[
-                :, :, i, j
-            ]
-    return out[:, :, pad : pad + h, pad : pad + w] if pad else out
+def _check_conv(op: str, x: Node, w: Node, stride: int, pad: int, w_in: int) -> None:
+    """Raise a ValueError naming op unless stride is 1 or 2, x and w are 4-D,
+    w's axis w_in matches x's channels, and 0 <= pad < min(kh, kw)."""
+    if stride not in (1, 2):
+        raise ValueError(f"{op} stride must be 1 or 2, got {stride}")
+    if x.value.ndim != 4 or w.value.ndim != 4:
+        raise ValueError(f"{op} expects a 4-D input and weight, got shapes {x.shape} and "
+                         f"{w.shape}")
+    if w.shape[w_in] != x.shape[1]:
+        raise ValueError(f"{op} channel mismatch: input {x.shape[1]}, weight {w.shape[w_in]}")
+    kh, kw = w.shape[2:]
+    if not 0 <= pad < min(kh, kw):
+        raise ValueError(f"{op} pad must be in [0, {min(kh, kw)}) for a {kh}x{kw} kernel, "
+                         f"got {pad}")
 
 
-def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
-    """NCHW convolution (cross-correlation), weights (C_out, C_in, kh, kw).
-
-    pad zeros on each side, 0 <= pad < min(kh, kw), and the padded input
-    must hold at least one kernel window. The forward takes one of two
-    formulas, chosen by geometry alone, so that a graph that trains and one
-    that only infers compute the same bits:
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad):
+    """Cross-correlation of x (n, C_in, H, W) with w (C_out, C_in, kh, kw)
+    after pad zeros, as (output, windows): windows are the im2col rows when
+    this formula built them, else None. Two formulas:
 
     - stride 1 and C_out < C_in: weights first. One GEMM of the
       (kh·kw·C_out, C_in) tap weights by the padded input gives kh·kw tap
@@ -260,129 +260,114 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
     the encoder's 64 -> 4 latent layer 36 rows against 576, and no 4.7 MB
     window matrix at 128 px. At stride 2 the tap planes would cover every
     input pixel while the output keeps one in four, so three quarters of
-    their taps would be wasted, and im2col stays. The weight gradient reads
-    the windows: im2col keeps its own when the weight takes a gradient, and
-    weights first builds them inside the vjp from the input's value, so a
-    forward-only graph never builds them.
+    their taps would be wasted, and im2col stays."""
+    cout, cin, kh, kw = w.shape
+    if stride == 1 and cout < cin:
+        xp = _padded(x, *pad)
+        n, _, hp, wp = xp.shape
+        oh, ow = hp - kh + 1, wp - kw + 1
+        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+        planes = np.matmul(taps, xp.reshape(n, cin, hp * wp)).reshape(n, kh, kw, cout, hp, wp)
+        out = planes[:, 0, 0, :, :oh, :ow].copy()
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    out += planes[:, i, j, :, i : i + oh, j : j + ow]
+        return out, None
+    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+    return np.matmul(w.reshape(cout, cin * kh * kw), cols).reshape(len(x), cout, oh, ow), cols
 
-    The input gradient takes one of two formulas, also chosen by geometry:
 
-    - stride 1 and C_out <= C_in: the correlation of the output gradient,
-      padded by (kh-1-pad, kw-1-pad), with the kernel flipped in both
-      spatial axes and its channel axes swapped: one im2col of C_out·kh·kw
-      rows and one GEMM;
+def _conv_input_grad(g: np.ndarray, w: np.ndarray, stride: int, pad, xshape) -> np.ndarray:
+    """The gradient of _conv_forward with respect to its input of shape
+    xshape, for the output gradient g (n, C_out, oh, ow). Two formulas:
+
+    - stride 1 and C_out <= C_in: the correlation of g, padded by
+      (kh-1-pad, kw-1-pad), with the kernel flipped in both spatial axes and
+      its channel axes swapped. That is _conv_forward, which takes im2col
+      here (C_in outputs from C_out inputs): C_out·kh·kw rows and one GEMM;
     - otherwise (stride 2, or C_out > C_in): one GEMM into C_in·kh·kw rows of
-      windows, scattered back by kh·kw strided adds.
+      windows, scattered back onto the padded input by kh·kw strided adds.
 
     Each formula's cost is the rows of pixels it builds and moves: C_out·k²
     for the correlation, C_in·k² plus the adds for the scatter. So the
     correlation is taken where C_out <= C_in. At stride 2 it would have to
     correlate an output gradient with zeros between its pixels, four times
-    the work, so the scatter stays.
-    """
+    the work, so the scatter stays; pad < min(kh, kw) keeps the correlation's
+    padding at zero or more."""
+    cout, cin, kh, kw = w.shape
+    if stride == 1 and cout <= cin:
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv_forward(g, flipped, 1, (kh - 1 - pad[0], kw - 1 - pad[1]))[0]
+    (n, _, oh, ow), (h, wd), (ph, pw) = g.shape, xshape[2:], pad
+    d6 = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, -1)).reshape(n, cin, kh, kw, oh, ow)
+    out = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += d6[:, :, i, j]
+    return out[:, :, ph : ph + h, pw : pw + wd]
+
+
+def _conv_weight_grad(g: np.ndarray, x: np.ndarray, wshape, stride: int, pad,
+                      windows=None) -> np.ndarray:
+    """The gradient of _conv_forward with respect to its weight of shape
+    wshape: the output gradient g against the windows of the input x. Weights
+    first builds no windows, so they are built here from x, inside a vjp, and
+    a graph that runs no backward never builds them."""
+    cout, _, kh, kw = wshape
+    if windows is None:
+        windows = _im2col(x, kh, kw, stride, pad)[0]
+    return np.matmul(g.reshape(len(g), cout, -1), windows.swapaxes(1, 2)).sum(0).reshape(wshape)
+
+
+def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
+    """NCHW convolution (cross-correlation), weights (C_out, C_in, kh, kw).
+
+    pad zeros on each side, 0 <= pad < min(kh, kw), and the padded input
+    must hold at least one kernel window. The forward, input gradient and
+    weight gradient are _conv_forward, _conv_input_grad and _conv_weight_grad."""
     x, w = _wrap(x), _wrap(w)
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
-    if x.value.ndim != 4 or w.value.ndim != 4:
-        raise ValueError(
-            f"conv2d expects a 4-D input and weight, got shapes {x.shape} and {w.shape}"
-        )
-    n, c, h, wdt = x.value.shape
-    cout, cin, kh, kw = w.value.shape
-    if cin != c:
-        raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
-    if not 0 <= pad < min(kh, kw):
-        raise ValueError(
-            f"conv2d pad must be in [0, {min(kh, kw)}) for a {kh}x{kw} kernel, got {pad}"
-        )
+    _check_conv("conv2d", x, w, stride, pad, 1)
+    (_, _, h, wdt), (_, _, kh, kw) = x.shape, w.shape
     if h + 2 * pad < kh or wdt + 2 * pad < kw:
-        raise ValueError(
-            f"conv2d input {x.shape} padded by {pad} is smaller than the kernel {w.shape}"
-        )
-    oh, ow = (h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1
-    wmat = w.value.reshape(cout, cin * kh * kw)
-    if stride == 1 and cout < cin:
-        out, cols = _conv_weights_first(x.value, w.value, pad), None
-    else:
-        cols, _, _ = _im2col(x.value, kh, kw, stride, (pad, pad))
-        out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
-        if not w.requires_grad:
-            cols = None  # only dw reads the windows; do not keep them with the graph
+        raise ValueError(f"conv2d input {x.shape} padded by {pad} is smaller than the kernel "
+                         f"{w.shape}")
+    pads = (pad, pad)
+    out, cols = _conv_forward(x.value, w.value, stride, pads)
+    if not w.requires_grad:
+        cols = None  # only dw reads the windows; do not keep them with the graph
 
     def vjp(g):
         # no product for an operand that takes no gradient (backward skips None)
-        gmat = g.reshape(n, cout, oh * ow)
-        dx = dw = None
-        if x.requires_grad and stride == 1 and cout <= cin:
-            gcols, _, _ = _im2col(g.reshape(n, cout, oh, ow), kh, kw, 1,
-                                  (kh - 1 - pad, kw - 1 - pad))
-            wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = np.matmul(wflip.reshape(cin, cout * kh * kw), gcols).reshape(x.shape)
-        elif x.requires_grad:
-            dx = _col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, stride, pad)
-        if w.requires_grad:
-            win = cols if cols is not None else _im2col(x.value, kh, kw, stride, (pad, pad))[0]
-            dw = np.matmul(gmat, win.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        return dx, dw
+        return (_conv_input_grad(g, w.value, stride, pads, x.shape) if x.requires_grad else None,
+                _conv_weight_grad(g, x.value, w.shape, stride, pads, cols)
+                if w.requires_grad else None)
 
     return Node(out, (x, w), vjp, op="conv2d")
-
-
-def _conv_weights_first(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 conv2d forward as one GEMM of the (kh·kw·C_out, C_in) tap
-    weights by the padded input (C_in, Hp·Wp), then the kh·kw tap planes
-    summed into the output by shifted-slice adds, in row-major tap order."""
-    cout, cin, kh, kw = w.shape
-    xp = _padded(x, pad, pad)
-    n, _, hp, wp = xp.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
-    planes = np.matmul(taps, xp.reshape(n, cin, hp * wp)).reshape(n, kh, kw, cout, hp, wp)
-    out = planes[:, 0, 0, :, :oh, :ow].copy()
-    for i in range(kh):
-        for j in range(kw):
-            if i or j:
-                out += planes[:, i, j, :, i : i + oh, j : j + ow]
-    return out
 
 
 def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
     """Adjoint of conv2d: upsamples (N, C_in, h, w) to (N, C_out, H, W).
 
-    Weights are (C_in, C_out, kh, kw); out_hw pins the output spatial size
-    (the adjoint geometry is ambiguous by stride-1 pixels otherwise).
-    """
+    Weights are (C_in, C_out, kh, kw), the layout of the conv2d it is the
+    adjoint of; out_hw pins the output spatial size (the adjoint geometry is
+    ambiguous by stride-1 pixels otherwise). Its forward is that conv2d's input
+    gradient and its input gradient that conv2d's forward, on the same kernels;
+    its weight gradient is _conv_weight_grad with x and g swapped."""
     x, w = _wrap(x), _wrap(w)
-    if stride not in (1, 2):
-        raise ValueError(f"transposed_conv2d stride must be 1 or 2, got {stride}")
-    if pad < 0:
-        raise ValueError(f"transposed_conv2d pad must be >= 0, got {pad}")
-    if x.value.ndim != 4 or w.value.ndim != 4:
-        raise ValueError(
-            f"transposed_conv2d expects a 4-D input and weight, got shapes {x.shape} and {w.shape}"
-        )
-    n, cin, h, wdt = x.value.shape
-    wcin, cout, kh, kw = w.value.shape
-    if wcin != cin:
-        raise ValueError(f"transposed_conv2d channel mismatch: input {cin}, weight {wcin}")
+    _check_conv("transposed_conv2d", x, w, stride, pad, 0)
+    (n, _, h, wdt), (_, cout, kh, kw) = x.shape, w.shape
     oh, ow = out_hw
-    ohc = (oh + 2 * pad - kh) // stride + 1
-    owc = (ow + 2 * pad - kw) // stride + 1
-    if (ohc, owc) != (h, wdt):
-        raise ValueError(
-            f"transposed_conv2d geometry mismatch: input {h}x{wdt} cannot map to {oh}x{ow}"
-        )
-    wmat = w.value.reshape(cin, cout * kh * kw)
-    xmat = x.value.reshape(n, cin, h * wdt)
-    dcols = np.matmul(wmat.T, xmat)
-    out = _col2im(dcols, (n, cout, oh, ow), kh, kw, stride, pad)
+    if ((oh + 2 * pad - kh) // stride + 1, (ow + 2 * pad - kw) // stride + 1) != (h, wdt):
+        raise ValueError(f"transposed_conv2d geometry mismatch: input {h}x{wdt} cannot map to "
+                         f"{oh}x{ow}")
+    pads = (pad, pad)
+    out = _conv_input_grad(x.value, w.value, stride, pads, (n, cout, oh, ow))
 
     def vjp(g):
-        gcols, _, _ = _im2col(g, kh, kw, stride, (pad, pad))
-        dx = np.matmul(wmat, gcols).reshape(x.shape) if x.requires_grad else None
-        dw = (np.matmul(xmat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-              if w.requires_grad else None)
-        return dx, dw
+        dx, win = _conv_forward(g, w.value, stride, pads) if x.requires_grad else (None, None)
+        return dx, (_conv_weight_grad(x.value, g, w.shape, stride, pads, win)
+                    if w.requires_grad else None)
 
     return Node(out, (x, w), vjp, op="tconv2d")
 

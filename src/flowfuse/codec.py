@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .image import Image, as_gray, correlate1d_valid
+from .image import Image, as_gray
 from .guidance import WeightMaps, saliency_weights, weighted_target
 from .metrics import SSIM_WIN, SSIM_WINDOW, ssim_map
 from .optim import ParamSet, adam_step
@@ -211,25 +211,12 @@ def _ssim_node(a: ad.Node, b: ad.Node, a_moments) -> ad.Node:
 
 # Sobel x is outer([1, 2, 1], [-1, 0, 1]): smoothing down the rows, a central
 # difference along them; Sobel y is its transpose.
-_SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
-_SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
-_SOBEL_X = np.outer(_SOBEL_SMOOTH, _SOBEL_DIFF)
-
-
-def _sobel(stack: np.ndarray):
-    """Valid-mode Sobel (x, y) responses of an (n, H, W) stack, each as two
-    1-D passes."""
-    if stack.ndim != 3:
-        raise ValueError(f"Sobel needs an (n, H, W) stack, got shape {stack.shape}")
-    gx = correlate1d_valid(correlate1d_valid(stack, _SOBEL_SMOOTH, 1), _SOBEL_DIFF, 2)
-    gy = correlate1d_valid(correlate1d_valid(stack, _SOBEL_DIFF, 1), _SOBEL_SMOOTH, 2)
-    return gx, gy
+_SOBEL_X = np.outer([1.0, 2.0, 1.0], [-1.0, 0.0, 1.0])
 
 
 def _sobel_pair(x4: ad.Node):
-    kx = ad.constant(_SOBEL_X[None, None])
-    ky = ad.constant(_SOBEL_X.T[None, None])
-    return ad.absolute(ad.conv2d(x4, kx)), ad.absolute(ad.conv2d(x4, ky))
+    """|Sobel x| and |Sobel y| of an (n, 1, H, W) node, valid mode."""
+    return tuple(ad.absolute(ad.conv2d(x4, k[None, None])) for k in (_SOBEL_X, _SOBEL_X.T))
 
 
 def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeights,
@@ -253,8 +240,9 @@ def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeight
                          - _ssim_node(f, ad.constant(v4), f_moments))
     if w.grad:
         gxf, gyf = _sobel_pair(f)
-        tx, ty = (ad.constant(np.maximum(np.abs(gi), np.abs(gv))[:, None])
-                  for gi, gv in zip(_sobel(i3), _sobel(v3)))
+        # one Sobel over the sources stacked, i then v: the bits of one per source
+        tx, ty = (ad.constant(np.maximum(*np.split(g.value, 2)))
+                  for g in _sobel_pair(ad.constant(np.concatenate([i4, v4]))))
         gsum = ad.reduce_mean(ad.absolute(gxf - tx)) + ad.reduce_mean(ad.absolute(gyf - ty))
         terms["grad"] = gsum * 0.5
     if w.mask:

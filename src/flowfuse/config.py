@@ -33,6 +33,13 @@ class Bound(NamedTuple):
         return text if self.high is None else f"{text} and < {self.high:g}"
 
 
+def _side(val) -> int:
+    """An image side for data.size: a multiple of 4, as the codec downsamples 4x."""
+    if (side := int(val)) % 4:
+        raise ValueError(f"must be a multiple of 4, got {side}")
+    return side
+
+
 _COUNT = Bound(1)  # steps, batch sizes, iterations
 _RATE = Bound(0.0, strict=True)  # learning rates
 _WEIGHT = Bound(0.0)  # guidance strength and loss weights
@@ -68,7 +75,7 @@ SCHEMA = {
     "data.dir": (str, "", None),
     "data.kind": (str, "ivif", ("ivif", "mef", "mff")),
     "data.count": (int, 16, _COUNT),
-    "data.size": (int, 32, _COUNT),
+    "data.size": (_side, 32, _COUNT),
 }
 
 

@@ -625,27 +625,92 @@ def test_conv2d_vjp_is_the_adjoint(geometry, seed):
     assert abs(lhs - np.vdot(w0, dw)) <= 1e-12 * scale
 
 
+# -- transposed_conv2d is conv2d's adjoint on the same kernels -------------------------------
+
+
+def _tconv_geometry(geometry):
+    """conv2d operands of a geometry drawn by _conv_geometry, and the output
+    shape; transposed_conv2d maps that output shape back to the input's."""
+    n, cin, cout, h, wd, kh, kw, stride, pad = geometry
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    return (n, cin, h, wd), (cout, cin, kh, kw), (n, cout, oh, ow), stride, pad
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_conv_geometry(), seed=st.integers(0, 2**32 - 1))
+def test_transposed_conv2d_forward_is_the_conv2d_input_gradient(geometry, seed):
+    xshape, wshape, yshape, stride, pad = _tconv_geometry(geometry)
+    rng = np.random.default_rng(seed)
+    x0, w0, y0 = (rng.standard_normal(s) for s in (xshape, wshape, yshape))
+    dx, _ = ad.conv2d(ad.leaf(x0), ad.constant(w0), stride, pad).vjp(y0)
+    t = ad.transposed_conv2d(ad.constant(y0), ad.constant(w0), stride, pad, xshape[2:])
+    assert np.array_equal(t.value, dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_conv_geometry(), seed=st.integers(0, 2**32 - 1))
+def test_transposed_conv2d_input_gradient_is_the_conv2d_forward(geometry, seed):
+    xshape, wshape, yshape, stride, pad = _tconv_geometry(geometry)
+    rng = np.random.default_rng(seed)
+    w0, y0, g = (rng.standard_normal(s) for s in (wshape, yshape, xshape))
+    dy, _ = ad.transposed_conv2d(ad.leaf(y0), ad.constant(w0), stride, pad, xshape[2:]).vjp(g)
+    assert np.array_equal(dy, ad.conv2d(ad.constant(g), ad.constant(w0), stride, pad).value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_conv_geometry(), seed=st.integers(0, 2**32 - 1))
+def test_transposed_conv2d_vjp_is_the_adjoint(geometry, seed):
+    # transposed_conv2d is bilinear, so <tconv(y, w), g> = <y, dy> = <w, dw>
+    xshape, wshape, yshape, stride, pad = _tconv_geometry(geometry)
+    rng = np.random.default_rng(seed)
+    w0, y0, g = (rng.standard_normal(s) for s in (wshape, yshape, xshape))
+    node = ad.transposed_conv2d(ad.leaf(y0), ad.leaf(w0), stride, pad, xshape[2:])
+    dy, dw = node.vjp(g)
+    lhs = np.vdot(node.value, g)
+    scale = np.abs(node.value).sum() * np.abs(g).max() + 1e-300
+    assert abs(lhs - np.vdot(y0, dy)) <= 1e-12 * scale
+    assert abs(lhs - np.vdot(w0, dw)) <= 1e-12 * scale
+
+
 # -- rejected geometries -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("xshape, wshape, pad, match", [
-    ((1, 1, 8, 8), (1, 1, 3, 3), -1, r"pad must be in \[0, 3\) for a 3x3 kernel, got -1"),
-    ((1, 1, 8, 8), (1, 1, 3, 3), 3, r"pad must be in \[0, 3\) for a 3x3 kernel, got 3"),
-    ((1, 1, 8, 16), (1, 1, 1, 11), 1, r"pad must be in \[0, 1\) for a 1x11 kernel, got 1"),
-    ((1, 1, 2, 2), (1, 1, 3, 3), 0, r"input \(1, 1, 2, 2\) padded by 0 is smaller than the "
-                                    r"kernel \(1, 1, 3, 3\)"),
-    ((1, 8, 8), (1, 1, 3, 3), 0, r"4-D input and weight, got shapes \(1, 8, 8\) and "
-                                 r"\(1, 1, 3, 3\)"),
-    ((1, 1, 8, 8), (3, 3), 0, r"4-D input and weight, got shapes \(1, 1, 8, 8\) and \(3, 3\)"),
+def _conv(x, w, pad):
+    return ad.conv2d(x, w, 1, pad)
+
+
+def _tconv(x, w, pad):
+    return ad.transposed_conv2d(x, w, 2, pad, (4, 4))
+
+
+# conv2d and transposed_conv2d share one geometry check; its messages name the op
+@pytest.mark.parametrize("op, xshape, wshape, pad, match", [
+    (_conv, (1, 1, 8, 8), (1, 1, 3, 3), -1, r"pad must be in \[0, 3\) for a 3x3 kernel, got -1"),
+    (_conv, (1, 1, 8, 8), (1, 1, 3, 3), 3, r"pad must be in \[0, 3\) for a 3x3 kernel, got 3"),
+    (_conv, (1, 1, 8, 16), (1, 1, 1, 11), 1,
+     r"pad must be in \[0, 1\) for a 1x11 kernel, got 1"),
+    (_conv, (1, 1, 2, 2), (1, 1, 3, 3), 0, r"input \(1, 1, 2, 2\) padded by 0 is smaller than "
+                                           r"the kernel \(1, 1, 3, 3\)"),
+    (_conv, (1, 8, 8), (1, 1, 3, 3), 0, r"4-D input and weight, got shapes \(1, 8, 8\) and "
+                                        r"\(1, 1, 3, 3\)"),
+    (_conv, (1, 1, 8, 8), (3, 3), 0,
+     r"4-D input and weight, got shapes \(1, 1, 8, 8\) and \(3, 3\)"),
+    (_tconv, (1, 1, 2, 2), (1, 1, 3, 3), -1,
+     r"^transposed_conv2d pad must be in \[0, 3\) for a 3x3 kernel, got -1$"),
+    (_tconv, (1, 1, 2, 2), (1, 1, 3, 3), 3,
+     r"^transposed_conv2d pad must be in \[0, 3\) for a 3x3 kernel, got 3$"),
+    (_tconv, (1, 2, 2), (1, 1, 3, 3), 1, r"^transposed_conv2d expects a 4-D input and weight, "
+                                         r"got shapes \(1, 2, 2\) and \(1, 1, 3, 3\)$"),
 ], ids=["negative pad", "pad at kernel size", "pad past a 1-D kernel", "input below kernel",
-        "3-D input", "2-D weight"])
-def test_conv2d_rejects_a_bad_geometry(xshape, wshape, pad, match):
+        "3-D input", "2-D weight", "tconv negative pad", "tconv pad at kernel size",
+        "tconv 3-D input"])
+def test_conv2d_rejects_a_bad_geometry(op, xshape, wshape, pad, match):
     with pytest.raises(ValueError, match=match):
-        ad.conv2d(ad.leaf(np.ones(xshape)), ad.leaf(np.ones(wshape)), 1, pad)
+        op(ad.leaf(np.ones(xshape)), ad.leaf(np.ones(wshape)), pad)
 
 
 def test_transposed_conv2d_rejects_a_negative_pad():
-    with pytest.raises(ValueError, match="pad must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"pad must be in \[0, 3\) for a 3x3 kernel, got -1"):
         ad.transposed_conv2d(ad.leaf(np.ones((1, 1, 2, 2))), ad.leaf(np.ones((1, 1, 3, 3))),
                              2, -1, (8, 8))
 

@@ -274,6 +274,25 @@ def test_synth_with_a_negative_count_exits_non_zero_naming_the_key(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_synth_with_a_size_not_divisible_by_4_exits_non_zero_naming_the_key(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flowfuse
+
+    src = str(Path(flowfuse.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "flowfuse.cli", "--out", str(tmp_path / "o"),
+                          "synth", "--count", "1", "--size", "6"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode != 0
+    assert "bad value for data.size: must be a multiple of 4, got 6" in run.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_fails_with_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("flow.stepz = 3\n")

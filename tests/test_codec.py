@@ -7,6 +7,7 @@ from flowfuse.codec import (
     LossWeights,
     _freq_loss_node,
     _fusion_loss_nodes,
+    _sobel_pair,
     decode,
     encode,
     stage1_step,
@@ -25,6 +26,69 @@ def textures(n, size, seed):
         img += 0.15 * rng.random((size, size))
         out.append(np.clip(img, 0.0, 1.0))
     return out
+
+
+SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+SOBEL_Y = SOBEL_X.T
+
+
+def correlation_oracle(a, kern):
+    """Direct nested-loop cross-correlation over the positions where kern fits."""
+    kh, kw = kern.shape
+    out = np.zeros((a.shape[0] - kh + 1, a.shape[1] - kw + 1))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            acc = 0.0
+            for di in range(kh):
+                for dj in range(kw):
+                    acc += kern[di, dj] * a[i + di, j + dj]
+            out[i, j] = acc
+    return out
+
+
+class TestSobel:
+    """The one Sobel of the codec's gradient loss, on the tape: the absolute
+    valid-mode responses to [1, 2, 1] down the rows by [-1, 0, 1] along them
+    (and the transpose), over an (n, 1, H, W) node. The loss runs it on the
+    fused image and, as constants, on the sources."""
+
+    @staticmethod
+    def sobel(a):
+        return tuple(g.value for g in _sobel_pair(ad.constant(a)))
+
+    def test_constant_image_gives_zero_everywhere(self):
+        # zero up to the rounding of one 9-term dot, whose order the BLAS picks:
+        # (9 - 1) half-ulps of the terms' absolute sum, 8 * 0.4 (the separable
+        # passes this Sobel replaced cancelled exactly)
+        a = np.full((2, 1, 5, 5), 0.4)
+        for g in self.sobel(a):
+            assert g.shape == (2, 1, 3, 3)
+            assert np.abs(g).max() <= 8 * (np.finfo(float).eps / 2) * (8 * 0.4)
+
+    def test_vertical_step_edge(self):
+        a = np.zeros((1, 1, 5, 6))
+        a[..., 3:] = 1.0
+        gx, gy = self.sobel(a)
+        assert gx.shape == gy.shape == (1, 1, 3, 4)
+        assert np.all(gy == 0)
+        assert np.all(gx[..., 1:3] == 4.0)  # windows centred on the edge columns
+        assert np.all(gx[..., [0, 3]] == 0)
+
+    def test_matches_direct_convolution_oracle(self):
+        rng = np.random.default_rng(7)
+        for shape in ((3, 1, 5, 5), (2, 1, 16, 13)):
+            a = rng.random(shape)
+            for g, k in zip(self.sobel(a), (SOBEL_X, SOBEL_Y)):
+                for img, got in zip(a[:, 0], g[:, 0]):
+                    assert np.abs(got - np.abs(correlation_oracle(img, k))).max() < 1e-12
+
+    def test_rejects_color_and_tiny_images(self):
+        with pytest.raises(ValueError, match="4-D input"):  # an (n, H, W) stack: a bad rank
+            self.sobel(np.zeros((1, 5, 5)))
+        with pytest.raises(ValueError, match="channel mismatch"):
+            self.sobel(np.zeros((1, 4, 4, 3)))
+        with pytest.raises(ValueError, match="smaller than the kernel"):
+            self.sobel(np.zeros((1, 1, 2, 5)))
 
 
 class TestShapes:

@@ -81,6 +81,16 @@ def test_out_of_range_values_rejected_in_files_and_overrides(key, val, why):
         parse_config(overrides={key: val})
 
 
+def test_data_size_must_be_a_multiple_of_4():
+    # the codec downsamples 4x, so any other side fails later, in synth or encode
+    with pytest.raises(ConfigError, match="line 1: bad value for data.size: must be a multiple "
+                                          "of 4, got 6"):
+        parse_config("data.size = 6\n")
+    with pytest.raises(ConfigError, match="override data.size = '6': bad value for data.size"):
+        parse_config(overrides={"data.size": "6"})
+    assert parse_config(overrides={"data.size": "8"})["data.size"] == 8
+
+
 def test_range_edges_accepted():
     cfg = parse_config("guidance.rho = 0\ncodec.lambda_color = 0\nflow.steps = 1\n"
                        "flow.time_eps = 0\n",

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from flowfuse.codec import _sobel
 from flowfuse.image import (
     Image,
     correlate1d_valid,
@@ -12,24 +11,6 @@ from flowfuse.image import (
     luma,
     rgb_ycbcr,
 )
-
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T
-
-
-def correlation_oracle(a, kern):
-    """Direct nested-loop cross-correlation over the positions where kern fits."""
-    kh, kw = kern.shape
-    out = np.zeros((a.shape[0] - kh + 1, a.shape[1] - kw + 1))
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            acc = 0.0
-            for di in range(kh):
-                for dj in range(kw):
-                    acc += kern[di, dj] * a[i + di, j + dj]
-            out[i, j] = acc
-    return out
-
 
 class TestImageType:
     def test_values_clamped_on_entry(self):
@@ -49,40 +30,6 @@ class TestImageType:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Image(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-
-
-class TestSobel:
-    """The valid-mode Sobel of the codec's gradient loss: [1, 2, 1] down the
-    rows and [-1, 0, 1] along them (and the transpose), as 1-D passes over an
-    (n, H, W) stack."""
-
-    def test_constant_image_gives_zero_everywhere(self):
-        a = np.full((2, 5, 5), 0.4)
-        for g in _sobel(a):
-            assert g.shape == (2, 3, 3) and np.all(g == 0)
-
-    def test_vertical_step_edge(self):
-        a = np.zeros((1, 5, 6))
-        a[:, :, 3:] = 1.0
-        gx, gy = _sobel(a)
-        assert gx.shape == gy.shape == (1, 3, 4)
-        assert np.all(gy == 0)
-        assert np.all(gx[:, :, 1:3] == 4.0)  # windows centred on the edge columns
-        assert np.all(gx[:, :, [0, 3]] == 0)
-
-    def test_matches_direct_convolution_oracle(self):
-        rng = np.random.default_rng(7)
-        for shape in ((3, 5, 5), (2, 16, 13)):
-            a = rng.random(shape)
-            for g, k in zip(_sobel(a), (SOBEL_X, SOBEL_Y)):
-                for img, got in zip(a, g):
-                    assert np.abs(got - correlation_oracle(img, k)).max() < 1e-12
-
-    def test_rejects_color_and_tiny_images(self):
-        with pytest.raises(ValueError, match="stack"):
-            _sobel(np.zeros((1, 4, 4, 3)))
-        with pytest.raises(ValueError):
-            _sobel(np.zeros((1, 2, 5)))
 
 
 class TestCorrelate1d:
