@@ -149,21 +149,37 @@ def save_checkpoint(path, tensors: dict) -> None:
     """Write {name: real or complex ndarray} to the container, streaming each
     tensor's own buffer: reals are stored as float64, complexes as complex128.
     A tensor of any other dtype is a ValueError naming it, raised before the
-    file is opened."""
+    file is opened.
+
+    The save is atomic: the bytes go to a temporary file beside path, which is
+    flushed to disk and then renamed over path. A save that fails leaves the
+    previous file whole and removes its temporary file.
+    """
     for name, arr in tensors.items():
         if (dtype := np.asarray(arr).dtype).kind not in "iufc":
             raise ValueError(f"{path}: tensor {name!r} has dtype {dtype}, "
                              "expected a real or complex number")
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            a = np.asarray(arr)
-            tag = 2 if a.dtype.kind == "c" else 1
-            # astype keeps a 0-d array 0-d, where ascontiguousarray would not
-            a = a.astype("<c16" if tag == 2 else "<f8", order="C", copy=False)
-            nb = name.encode("utf-8")
-            f.write(struct.pack(f"<I{len(nb)}sBB{a.ndim}Q", len(nb), nb, tag, a.ndim, *a.shape))
-            f.write(a.data)
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                a = np.asarray(arr)
+                tag = 2 if a.dtype.kind == "c" else 1
+                # astype keeps a 0-d array 0-d, where ascontiguousarray would not
+                a = a.astype("<c16" if tag == 2 else "<f8", order="C", copy=False)
+                nb = name.encode("utf-8")
+                f.write(struct.pack(f"<I{len(nb)}sBB{a.ndim}Q", len(nb), nb, tag, a.ndim,
+                                    *a.shape))
+                f.write(a.data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict:

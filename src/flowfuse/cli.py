@@ -332,8 +332,12 @@ def cmd_eval(args) -> int:
         if pa is None or pb is None:
             missing.append(pf.name)
             continue
-        rows.append((pf.stem, report(luma(load_image(pf)), luma(load_image(pa)),
-                                     luma(load_image(pb)))))
+        triple = [luma(load_image(p)) for p in (pf, pa, pb)]
+        if len({y.shape for y in triple}) > 1:
+            sizes = [f"{p} ({y.shape[0]}x{y.shape[1]})" for p, y in zip((pf, pa, pb), triple)]
+            raise ValueError(f"evaluating {sizes[0]} against {sizes[1]} and {sizes[2]}: "
+                             "the fused image and its sources must share one size")
+        rows.append((pf.stem, report(*triple)))
     if missing:
         print(f"skipped {len(missing)} file(s) without counterparts: "
               f"{', '.join(missing)}", file=sys.stderr)

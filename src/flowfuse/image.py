@@ -96,13 +96,22 @@ def bins256(a: np.ndarray) -> np.ndarray:
     return np.minimum((a * 256.0).astype(np.int64), 255)
 
 
+def check_unit_range(a: np.ndarray, what: str = "image") -> None:
+    """Reject a pixel array that is empty or holds a non-finite value or a
+    value outside [0, 1], with a ValueError naming what."""
+    if a.size == 0:
+        raise ValueError(f"{what} is empty")
+    lo, hi = a.min(), a.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} has non-finite pixel values")
+        raise ValueError(f"{what} has pixel values outside [0, 1] (min {lo}, max {hi})")
+
+
 def histogram256(img) -> np.ndarray:
     """256-bin probability histogram over bins256."""
     a = as_gray(img)
-    if a.size == 0:
-        raise ValueError("empty image")
-    if a.min() < 0.0 or a.max() > 1.0:
-        raise ValueError("pixel values outside [0, 1]")
+    check_unit_range(a)
     counts = np.bincount(bins256(a).ravel(), minlength=256).astype(np.float64)
     return counts / a.size
 

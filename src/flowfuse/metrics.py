@@ -29,6 +29,13 @@ with the normalized 1-D window once along rows and once along columns, and
 the Qcb local means use the image module's separable blur. The conventions
 listed (sizes, sigmas, valid or same mode, zero padding) hold as stated; only
 the order of the sums differs from a 2-D window.
+
+report filters each image once. The fused image's SSIM moments (ssim_moments)
+and VIF pyramid (vif_scales) do not depend on the source it is compared with,
+so report builds them once and passes them to both sources' calls through
+ssim_psnr's f_moments and vif_pair's dist_scales; a call only reads them.
+Called without them, each function computes its own, with the same bits.
+Variances are E[x^2] - mu^2, formed in place.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fft import _fft2_raw, _pad_pow2
-from .image import (as_gray, bins256, correlate1d_valid, gaussian_blur, gaussian_window1d,
-                    histogram256)
+from .fft import _fft2_raw, _pad_pow2, next_pow2
+from .image import (as_gray, bins256, check_unit_range, correlate1d_valid, gaussian_blur,
+                    gaussian_window1d, histogram256)
 
 _COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
@@ -60,15 +67,17 @@ def mutual_information(f, s) -> float:
     a, b = as_gray(f), as_gray(s)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    check_unit_range(a, "first image")
+    check_unit_range(b, "second image")
     joint = np.bincount(
         (bins256(a) * 256 + bins256(b)).ravel(), minlength=256 * 256
     ).reshape(256, 256).astype(np.float64)
     joint /= joint.sum()
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
-    mask = joint > 0
-    denom = np.outer(pa, pb)[mask]
-    return float((joint[mask] * np.log2(joint[mask] / denom)).sum())
+    nz = np.flatnonzero(joint > 0)  # the occupied (i, j) bins, in C order
+    pj = joint.ravel()[nz]
+    return float((pj * np.log2(pj / (pa[nz >> 8] * pb[nz & 255]))).sum())
 
 
 # -- gradient statistics -----------------------------------------------------------------
@@ -104,6 +113,14 @@ def _conv_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _filter_valid(np.pad(a, (lo, len(k) - 1 - lo)), k)
 
 
+def _variance(a: np.ndarray, mu: np.ndarray, conv, k: np.ndarray) -> np.ndarray:
+    """conv(a^2, k) - mu^2 clamped at 0, formed in place: rounding can leave
+    E[x^2] - mu^2 just below 0."""
+    var = conv(a * a, k)
+    var -= mu * mu
+    return np.maximum(var, 0.0, out=var)
+
+
 SSIM_WIN = 11
 SSIM_WINDOW = gaussian_window1d(SSIM_WIN, 1.5)
 _SSIM_C1 = 0.01**2  # (K1 L)^2 with L = 1
@@ -126,19 +143,31 @@ def ssim_map(mu_a, mu_b, var_a, var_b, cov):
             / ((mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)))
 
 
-def ssim_psnr(f, s) -> tuple:
-    """(mean local SSIM, PSNR in dB) for two gray images."""
+def ssim_moments(x) -> tuple:
+    """(mu, var) of a gray image under the SSIM window, valid mode, with var
+    clamped at 0: the statistics ssim_psnr takes as f_moments."""
+    a = as_gray(x)
+    if min(a.shape) < SSIM_WIN:
+        raise ValueError(f"SSIM needs at least {SSIM_WIN}x{SSIM_WIN} pixels")
+    mu = _filter_valid(a, SSIM_WINDOW)
+    return mu, _variance(a, mu, _filter_valid, SSIM_WINDOW)
+
+
+def ssim_psnr(f, s, f_moments=None) -> tuple:
+    """(mean local SSIM, PSNR in dB) for two gray images.
+
+    f_moments is ssim_moments(f), passed in so that comparisons of one image
+    with several others filter it once; it is only read.
+    """
     a, b = as_gray(f), as_gray(s)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if min(a.shape) < SSIM_WIN:
-        raise ValueError(f"SSIM needs at least {SSIM_WIN}x{SSIM_WIN} pixels")
-    win = SSIM_WINDOW
-    mu_a = _filter_valid(a, win)
-    mu_b = _filter_valid(b, win)
-    var_a = np.maximum(_filter_valid(a * a, win) - mu_a * mu_a, 0.0)
-    var_b = np.maximum(_filter_valid(b * b, win) - mu_b * mu_b, 0.0)
-    cov = _filter_valid(a * b, win) - mu_a * mu_b
+    mu_a, var_a = ssim_moments(a) if f_moments is None else f_moments
+    mu_b, var_b = ssim_moments(b)
+    if mu_a.shape != mu_b.shape:
+        raise ValueError(f"f_moments have shape {mu_a.shape}, expected {mu_b.shape}")
+    cov = _filter_valid(a * b, SSIM_WINDOW)
+    cov -= mu_a * mu_b
     ssim = float(ssim_map(mu_a, mu_b, var_a, var_b, cov).mean())
     mse = float(np.mean((a - b) ** 2))
     psnr = 99.0 if mse < 1e-10 else float(10.0 * np.log10(1.0 / mse))
@@ -148,39 +177,74 @@ def ssim_psnr(f, s) -> tuple:
 # -- VIF --------------------------------------------------------------------------------
 
 
-def vif_pair(ref, dist) -> float:
-    """Pixel-domain visual information fidelity of dist against ref."""
-    a = as_gray(ref) * 255.0
-    b = as_gray(dist) * 255.0
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    sigma_nsq = 2.0
-    num = den = 0.0
+_VIF_SIGMA_NSQ = 2.0  # GSM noise variance on the 255 scale
+
+
+def _vif_pyramid(x):
+    """Yield VIF's four scales of a gray image, each (window, image, mu, var)
+    on the 255 scale with var clamped at 0."""
+    a = as_gray(x) * 255.0
     for scale in range(1, 5):
         n = 2 ** (4 - scale + 1) + 1
         win = gaussian_window1d(n, n / 5.0)
         if scale > 1:
             a = _conv_same(a, win)[::2, ::2]
-            b = _conv_same(b, win)[::2, ::2]
             if a.size == 0:
-                break  # degenerate scale for tiny images
-        mu_a = _conv_same(a, win)
-        mu_b = _conv_same(b, win)
-        s_a = np.maximum(_conv_same(a * a, win) - mu_a * mu_a, 0.0)
-        s_b = np.maximum(_conv_same(b * b, win) - mu_b * mu_b, 0.0)
-        s_ab = _conv_same(a * b, win) - mu_a * mu_b
-        g = s_ab / (s_a + 1e-10)
-        sv = s_b - g * s_ab
-        g[s_a < 1e-10] = 0.0
-        sv[s_a < 1e-10] = s_b[s_a < 1e-10]
-        s_a[s_a < 1e-10] = 0.0
-        g[s_b < 1e-10] = 0.0
-        sv[s_b < 1e-10] = 0.0
-        sv[g < 0] = s_b[g < 0]
-        g[g < 0] = 0.0
-        sv[sv <= 1e-10] = 1e-10
-        num += float(np.sum(np.log10(1.0 + g * g * s_a / (sv + sigma_nsq))))
-        den += float(np.sum(np.log10(1.0 + s_a / sigma_nsq)))
+                return  # degenerate scale for tiny images
+        mu = _conv_same(a, win)
+        yield win, a, mu, _variance(a, mu, _conv_same, win)
+
+
+def vif_scales(x) -> list:
+    """VIF's per-scale (window, image, mu, var) of one gray image: the
+    statistics vif_pair takes as dist_scales."""
+    return list(_vif_pyramid(x))
+
+
+def vif_pair(ref, dist, dist_scales=None) -> float:
+    """Pixel-domain visual information fidelity of dist against ref.
+
+    dist_scales is vif_scales(dist), passed in so that several references
+    share one distorted image's pyramid (its statistics do not depend on the
+    reference); it is only read. The reference's own statistics are built
+    scale by scale and take the < 1e-10 masks in place.
+    """
+    a, b = as_gray(ref), as_gray(dist)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if dist_scales is None:
+        dist_scales = vif_scales(b)
+    elif dist_scales[0][1].shape != a.shape:
+        raise ValueError(f"dist_scales have shape {dist_scales[0][1].shape}, expected {a.shape}")
+    num = den = 0.0
+    for (win, a, mu_a, s_a), (_, b, mu_b, s_b) in zip(_vif_pyramid(a), dist_scales):
+        s_ab = _conv_same(a * b, win)
+        s_ab -= mu_a * mu_b
+        g = s_a + 1e-10
+        np.divide(s_ab, g, out=g)  # g = s_ab / (s_a + 1e-10)
+        sv = g * s_ab
+        np.subtract(s_b, sv, out=sv)  # sv = s_b - g s_ab
+        flat_a = s_a < 1e-10
+        flat_b = s_b < 1e-10
+        np.copyto(g, 0.0, where=flat_a)
+        np.copyto(sv, s_b, where=flat_a)
+        np.copyto(s_a, 0.0, where=flat_a)
+        np.copyto(g, 0.0, where=flat_b)
+        np.copyto(sv, 0.0, where=flat_b)
+        neg = g < 0
+        np.copyto(sv, s_b, where=neg)
+        np.copyto(g, 0.0, where=neg)
+        np.copyto(sv, 1e-10, where=sv <= 1e-10)
+        # num: log10(1 + g^2 s_a / (sv + sigma_nsq)), den: log10(1 + s_a / sigma_nsq)
+        g *= g
+        g *= s_a
+        sv += _VIF_SIGMA_NSQ
+        g /= sv
+        g += 1.0
+        num += float(np.sum(np.log10(g, out=g)))
+        s_a /= _VIF_SIGMA_NSQ
+        s_a += 1.0
+        den += float(np.sum(np.log10(s_a, out=s_a)))
     return num / den if den > 0 else 0.0
 
 
@@ -209,29 +273,41 @@ def scd_cc(f, a, b) -> tuple:
 # -- Qcb --------------------------------------------------------------------------------
 
 
-def _csf_filter(a: np.ndarray) -> np.ndarray:
-    """Difference-of-Gaussians contrast sensitivity filter, frequency domain."""
-    h, w = a.shape
-    spec = _fft2_raw(_pad_pow2(a.astype(np.complex128)), inverse=False)
-    hp, wp = spec.shape
+def _csf_response(shape: tuple) -> np.ndarray:
+    """Difference-of-Gaussians contrast sensitivity on the padded frequency
+    grid of an image of this shape."""
+    hp, wp = next_pow2(shape[0]), next_pow2(shape[1])
     fy = np.fft.fftfreq(hp) * hp / 30.0  # 30 pixels per degree
     fx = np.fft.fftfreq(wp) * wp / 30.0
     r = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)
     f0, f1, aa = 15.3870, 1.3456, 0.7622
-    sd = np.exp(-((r / f0) ** 2)) - aa * np.exp(-((r / f1) ** 2))
-    out = _fft2_raw(spec * sd, inverse=True) / (hp * wp)
+    return np.exp(-((r / f0) ** 2)) - aa * np.exp(-((r / f1) ** 2))
+
+
+def _csf_filter(a: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """a filtered by the frequency response sd (_csf_response(a.shape))."""
+    h, w = a.shape
+    spec = _fft2_raw(_pad_pow2(a), inverse=False)
+    hp, wp = spec.shape
+    spec *= sd
+    out = _fft2_raw(spec, inverse=True)
+    out /= hp * wp
     return out.real[:h, :w]
 
 
-def _masked_contrast(a: np.ndarray) -> np.ndarray:
-    filtered = _csf_filter(a)
+def _masked_contrast(a: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    filtered = _csf_filter(a, sd)
     num = gaussian_blur(filtered, 2.0)
     den = gaussian_blur(filtered, 32.0)
-    c = np.zeros_like(a)
     ok = np.abs(den) > 1e-6
-    c[ok] = num[ok] / den[ok] - 1.0
-    c = np.abs(c)
-    return c**3 / (c**2 + 1e-4)
+    c = np.divide(num, den, out=np.zeros_like(a), where=ok)
+    np.subtract(c, 1.0, out=c, where=ok)
+    np.abs(c, out=c)
+    sq = c**2
+    sq += 1e-4
+    out = c**3
+    out /= sq
+    return out
 
 
 def qcb(f, a, b) -> float:
@@ -239,24 +315,24 @@ def qcb(f, a, b) -> float:
     ff, aa, bb = as_gray(f) * 255.0, as_gray(a) * 255.0, as_gray(b) * 255.0
     if not (ff.shape == aa.shape == bb.shape):
         raise ValueError("aligned triple required")
-    cf = _masked_contrast(ff)
-    ca = _masked_contrast(aa)
-    cb = _masked_contrast(bb)
+    sd = _csf_response(ff.shape)
+    cf = _masked_contrast(ff, sd)
+    ca = _masked_contrast(aa, sd)
+    cb = _masked_contrast(bb, sd)
 
     def preserve(cs, cd):
         hi = np.maximum(cs, cd)
-        lo = np.minimum(cs, cd)
-        out = np.ones_like(hi)  # both zero: nothing to lose, full preservation
-        nz = hi > 0
-        out[nz] = lo[nz] / hi[nz]
-        return out
+        # both zero: nothing to lose, full preservation
+        return np.divide(np.minimum(cs, cd), hi, out=np.ones_like(hi), where=hi > 0)
 
-    lam_a = np.zeros_like(ca)
-    tot = ca**2 + cb**2
-    nz = tot > 0
-    lam_a[nz] = ca[nz] ** 2 / tot[nz]
-    lam_a[~nz] = 0.5
-    q = lam_a * preserve(ca, cf) + (1.0 - lam_a) * preserve(cb, cf)
+    sq_a = ca**2
+    tot = sq_a + cb**2
+    lam_a = np.divide(sq_a, tot, out=np.full_like(ca, 0.5), where=tot > 0)
+    q = preserve(ca, cf)
+    q *= lam_a
+    lam_b = np.subtract(1.0, lam_a, out=lam_a)
+    lam_b *= preserve(cb, cf)
+    q += lam_b
     return float(np.clip(q.mean(), 0.0, 1.0))
 
 
@@ -300,16 +376,24 @@ class MetricsReport:
 
 
 def report(f, a, b) -> MetricsReport:
-    """Evaluate every metric on an aligned (fused, source_a, source_b) triple."""
+    """Evaluate every metric on an aligned (fused, source_a, source_b) triple.
+
+    The fused image's SSIM moments and VIF scales are computed once and
+    shared by both sources' calls.
+    """
     fa, aa, ba = as_gray(f), as_gray(a), as_gray(b)
     if not (fa.shape == aa.shape == ba.shape):
         raise ValueError("aligned triple required")
+    for img, what in ((fa, "fused image"), (aa, "source a"), (ba, "source b")):
+        check_unit_range(img, what)
     mi_a = mutual_information(fa, aa)
     mi_b = mutual_information(fa, ba)
-    ssim_a, psnr_a = ssim_psnr(fa, aa)
-    ssim_b, psnr_b = ssim_psnr(fa, ba)
-    vif_a = vif_pair(aa, fa)
-    vif_b = vif_pair(ba, fa)
+    f_moments = ssim_moments(fa)
+    ssim_a, psnr_a = ssim_psnr(fa, aa, f_moments)
+    ssim_b, psnr_b = ssim_psnr(fa, ba, f_moments)
+    f_scales = vif_scales(fa)
+    vif_a = vif_pair(aa, fa, f_scales)
+    vif_b = vif_pair(ba, fa, f_scales)
     sf, ag = sf_ag(fa)
     scd, cc = scd_cc(fa, aa, ba)
     return MetricsReport(

@@ -383,6 +383,56 @@ def test_a_file_that_shrinks_while_read_is_rejected(tmp_path, monkeypatch, cut):
         load_checkpoint(p)
 
 
+def test_a_save_that_fails_mid_file_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    import builtins
+
+    from flowfuse import checkpoint
+
+    p = tmp_path / "c.rffz"
+    old = {"w": np.arange(6.0)}
+    save_checkpoint(p, old)
+
+    class FullDisk:
+        """A file whose second write stores half its bytes, then fails."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                self.f.write(bytes(data)[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: FullDisk(builtins.open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(p, {"w": np.ones(6), "v": np.zeros(3)})
+    monkeypatch.undo()
+    assert [f.name for f in tmp_path.iterdir()] == ["c.rffz"]
+    back = load_checkpoint(p)
+    assert set(back) == {"w"} and np.array_equal(back["w"], old["w"])
+
+
+def test_a_save_replaces_the_old_file_whole(tmp_path):
+    p = tmp_path / "c.rffz"
+    save_checkpoint(p, {"w": np.arange(600.0)})
+    save_checkpoint(p, {"v": np.ones(2)})
+    assert [f.name for f in tmp_path.iterdir()] == ["c.rffz"]
+    back = load_checkpoint(p)
+    assert set(back) == {"v"} and np.array_equal(back["v"], np.ones(2))
+
+
 def _traced_peak(fn, *args):
     """fn(*args) and the traced allocation peak above the memory held before."""
     tracemalloc.start()

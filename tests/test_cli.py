@@ -184,6 +184,28 @@ def test_eval_pairs_pnm_triples(workspace, tmp_path, capsys):
     assert len((evout / "metrics.csv").read_text().splitlines()) == 1 + 1 + 1
 
 
+def test_eval_misaligned_triple_names_the_files_and_sizes(workspace, tmp_path):
+    import re
+
+    root, _, _ = workspace
+    from flowfuse.image import Image
+    from flowfuse.imgio import load_image, save_image
+
+    dirs = {k: tmp_path / k for k in ("fused", "A", "B")}
+    for d in dirs.values():
+        d.mkdir()
+    fused, a, b = dirs["fused"] / "0000_fused.png", dirs["A"] / "0000.png", dirs["B"] / "0000.png"
+    save_image(fused, load_image(root / "data" / "A" / "0000.png"))
+    save_image(a, Image(np.zeros((32, 36))))
+    save_image(b, load_image(root / "data" / "B" / "0000.png"))
+    want = (rf"evaluating {re.escape(str(fused))} \(16x16\) against {re.escape(str(a))} "
+            rf"\(32x36\) and {re.escape(str(b))} \(16x16\): the fused image and its "
+            "sources must share one size")
+    with pytest.raises(ValueError, match=want):
+        main(["--out", str(tmp_path / "ev"), "eval", "--fused", str(dirs["fused"]),
+              "--src-a", str(dirs["A"]), "--src-b", str(dirs["B"])])
+
+
 def test_bench_table(workspace, tmp_path):
     _, cfgfile, run = workspace
     out = tmp_path / "bench"

@@ -1,7 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from flowfuse.image import gaussian_blur
+from flowfuse.image import gaussian_blur, histogram256
 from flowfuse.metrics import (
     entropy,
     mutual_information,
@@ -9,16 +12,20 @@ from flowfuse.metrics import (
     report,
     scd_cc,
     sf_ag,
+    ssim_moments,
     ssim_psnr,
     vif_pair,
+    vif_scales,
 )
 
 
 def textured(size, seed, contrast=0.35):
+    """A size x size test image, or h x w for size = (h, w)."""
+    h, w = (size, size) if np.ndim(size) == 0 else size
     rng = np.random.default_rng(seed)
-    y, x = np.mgrid[0:size, 0:size] / size
+    y, x = np.mgrid[0:h, 0:w] / max(h, w)
     img = 0.5 + contrast * np.sin(2 * np.pi * (3 * x + 2 * y))
-    img += 0.1 * rng.random((size, size))
+    img += 0.1 * rng.random((h, w))
     return np.clip(img, 0.0, 1.0)
 
 
@@ -288,19 +295,60 @@ class TestReport:
         assert const.sf == 0.0 and const.ag == 0.0
 
     def test_composition_matches_individual_ops(self):
-        f, a, b = textured(16, 24), textured(16, 25), textured(16, 26)
-        r = report(f, a, b)
-        assert r.en == entropy(f)
-        assert r.mi == mutual_information(f, a) + mutual_information(f, b)
-        assert (r.sf, r.ag) == sf_ag(f)
-        sa, pa = ssim_psnr(f, a)
-        sb, pb = ssim_psnr(f, b)
-        assert r.ssim == 0.5 * (sa + sb)
-        assert r.psnr == 0.5 * (pa + pb)
-        assert r.vif == 0.5 * (vif_pair(a, f) + vif_pair(b, f))
-        scd, cc = scd_cc(f, a, b)
-        assert (r.scd, r.cc) == (scd, cc)
-        assert r.qcb == qcb(f, a, b)
+        # report shares the fused image's statistics between the sources; each
+        # field and per-source value has the bits of the lone calls without them
+        for seed, shape in enumerate([(16, 16), (37, 52), (53, 29), (100, 100), (128, 128)]):
+            f, a, b = (textured(shape, 24 + 3 * seed + k) for k in range(3))
+            r = report(f, a, b)
+            assert r.en == entropy(f)
+            mi = [mutual_information(f, a), mutual_information(f, b)]
+            assert r.mi == mi[0] + mi[1]
+            assert (r.sf, r.ag) == sf_ag(f)
+            (sa, pa), (sb, pb) = ssim_psnr(f, a), ssim_psnr(f, b)
+            assert r.ssim == 0.5 * (sa + sb)
+            assert r.psnr == 0.5 * (pa + pb)
+            vif = [vif_pair(a, f), vif_pair(b, f)]
+            assert r.vif == 0.5 * (vif[0] + vif[1])
+            scd, cc = scd_cc(f, a, b)
+            assert (r.scd, r.cc) == (scd, cc)
+            assert r.qcb == qcb(f, a, b)
+            cc_a, cc_b = r.per_source["cc"]
+            assert 0.5 * (cc_a + cc_b) == cc
+            assert r.per_source == {"mi": mi, "ssim": [sa, sb], "psnr": [pa, pb], "vif": vif,
+                                    "cc": [cc_a, cc_b]}, shape
+
+    def test_shared_statistics_are_read_only_and_give_the_same_bits(self):
+        f, a, b = textured((37, 52), 40), textured((37, 52), 41), textured((37, 52), 42)
+        moments, scales = ssim_moments(f), vif_scales(f)
+        assert len(scales) == 4
+        before = [x.copy() for x in moments] + [x.copy() for s in scales for x in s]
+        for _ in range(2):
+            assert ssim_psnr(f, a, moments) == ssim_psnr(f, a)
+            assert ssim_psnr(f, b, moments) == ssim_psnr(f, b)
+            assert vif_pair(a, f, scales) == vif_pair(a, f)
+            assert vif_pair(b, f, scales) == vif_pair(b, f)
+        after = list(moments) + [x for s in scales for x in s]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
+
+    def test_shared_statistics_of_another_shape_rejected(self):
+        f, a = textured(16, 43), textured(16, 44)
+        with pytest.raises(ValueError, match="f_moments have shape"):
+            ssim_psnr(f, a, ssim_moments(textured(20, 45)))
+        with pytest.raises(ValueError, match="dist_scales have shape"):
+            vif_pair(a, f, vif_scales(textured(20, 45)))
+
+    def test_peak_memory_at_128_px(self):
+        # the fused image's SSIM moments and VIF pyramid (0.85 MiB) are held for
+        # the whole call; everything else is built in place or freed as it goes
+        f, a, b = textured(128, 46), textured(128, 47), textured(128, 48)
+        report(f, a, b)
+        tracemalloc.start()
+        try:
+            report(f, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 2**20, peak / 2**20
 
     def test_source_swap_invariance_of_symmetric_fields(self):
         f, a, b = textured(16, 27), textured(16, 28), textured(16, 29)
@@ -335,3 +383,45 @@ class TestReport:
             assert all(np.isfinite(getattr(r, c))
                        for c in ("en", "mi", "sf", "ag", "ssim", "psnr", "vif",
                                  "scd", "cc", "qcb"))
+
+
+class TestPixelRange:
+    @pytest.mark.parametrize("value, what", [
+        (-0.1, "outside"), (1.5, "outside"), (np.nan, "non-finite"), (np.inf, "non-finite"),
+        (-np.inf, "non-finite")])
+    @pytest.mark.parametrize("side, name", [(0, "fused image"), (1, "source a"),
+                                            (2, "source b")])
+    def test_report_names_the_image_at_fault(self, value, what, side, name):
+        triple = [textured(16, 50), textured(16, 51), textured(16, 52)]
+        triple[side][3, 5] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} has (non-finite )?pixel values"
+                                                 + ("" if what == "non-finite" else " outside")):
+                report(*triple)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, np.nan, np.inf])
+    def test_histograms_reject_a_bad_value(self, value):
+        x = textured(8, 53)
+        x[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^image has"):
+                histogram256(x)
+            with pytest.raises(ValueError, match="^image has"):
+                entropy(x)
+            with pytest.raises(ValueError, match="^first image has"):
+                mutual_information(x, textured(8, 54))
+            with pytest.raises(ValueError, match="^second image has"):
+                mutual_information(textured(8, 54), x)
+
+    def test_an_empty_image_is_named(self):
+        with pytest.raises(ValueError, match="^image is empty"):
+            histogram256(np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="^fused image is empty"):
+            report(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4)))
+
+    def test_the_range_ends_are_accepted(self):
+        x = textured(16, 55)
+        x[0, 0], x[0, 1] = 0.0, 1.0
+        assert np.isfinite(report(x, x, x).en)
