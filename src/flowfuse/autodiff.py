@@ -52,6 +52,10 @@ class Node:
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in self.parents
         )
+        if not self.requires_grad:
+            # no backward walks through it: holding the parents and the vjp's
+            # captured arrays would keep a forward-only graph's intermediates alive
+            self.parents, self.vjp = (), None
 
     @property
     def shape(self):

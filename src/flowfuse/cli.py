@@ -363,20 +363,31 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     out = _outdir(args, cfg)
-    steps_list = [int(s) for s in args.steps.split(",")]
-    runs = max(args.runs, 5)
+    try:
+        steps_list = [int(s) for s in args.steps.split(",")]
+    except ValueError:
+        raise ValueError(f"--steps {args.steps!r}: expected comma-separated integers") from None
+    if min(steps_list) < 1:
+        raise ValueError(f"--steps {args.steps!r}: every step count must be >= 1")
+    if args.runs < 5:
+        raise ValueError(f"--runs {args.runs}: at least 5 timed runs per step count")
     codec = load_codec_checkpoint(args.codec)
     model = load_flow_checkpoint(args.flow)
     from .synth import make_pair
 
     img_a, img_b = make_pair(cfg["data.kind"], cfg["data.size"], cfg["run.seed"], 0)
     z_i, z_v = encode(codec, luma(img_a)), encode(codec, luma(img_b))
+    if model.kind == "mlp" and model.meta["dim"] != z_v.size:
+        raise ValueError(
+            f"data.size = {cfg['data.size']} gives latent dim {z_v.size}, but the flow "
+            f"checkpoint {args.flow} expects {model.meta['dim']}; set data.size to the "
+            "size it was trained at")
     spec = build_guidance_spec(cfg)
     rows = []
     for n in steps_list:
         sched = SampleSchedule.uniform(n)
         times = []
-        for _ in range(runs):
+        for _ in range(args.runs):
             t0 = time.perf_counter()
             euler_sample(model, z_v.data, sched, spec, (z_i.data, z_v.data))
             times.append(time.perf_counter() - t0)
@@ -457,7 +468,7 @@ def main(argv=None) -> int:
     p.add_argument("--codec", required=True)
     p.add_argument("--flow", required=True)
     p.add_argument("--steps", default="1,10,50,100")
-    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--runs", type=int, default=5, help="timed runs per step count (>= 5)")
     p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)

@@ -3,7 +3,7 @@
 Readers and writers are bit-exact round-trips for 8-bit data. Pixels convert
 between files and the [0, 1] float domain by /255 on read and round(*255) on
 write. The PNG writer emits unfiltered scanlines; the reader handles filter
-types 0-4.
+types 0-4 without a per-byte or per-row Python loop.
 """
 
 from __future__ import annotations
@@ -58,38 +58,57 @@ def write_png(path, img: Image) -> None:
 
 
 def _unfilter(raw: bytes, h: int, w: int, nch: int, path) -> np.ndarray:
-    stride = w * nch
-    out = np.zeros((h, stride), dtype=np.uint8)
-    pos = 0
-    prev = np.zeros(stride, dtype=np.int32)
-    for r in range(h):
-        ftype = raw[pos]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos + 1).astype(np.int32)
-        pos += 1 + stride
-        if ftype == 0:
-            cur = line
-        elif ftype == 2:  # Up
-            cur = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth need a left-to-right scan
-            cur = np.zeros(stride, dtype=np.int32)
-            for c in range(stride):
-                left = cur[c - nch] if c >= nch else 0
-                up = prev[c]
-                ul = prev[c - nch] if c >= nch else 0
-                if ftype == 1:
-                    pred = left
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    p = left + up - ul
-                    pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                    pred = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
-                cur[c] = (line[c] + pred) & 0xFF
-        else:
-            raise ValueError(f"{path}: unsupported PNG filter type {ftype} in row {r}")
-        out[r] = cur.astype(np.uint8)
-        prev = cur
+    """The (h, w * nch) bytes of the scanlines in raw, each led by its filter
+    type byte, with the PNG filters undone. None, Sub and Up rows take whole-
+    array steps; an image with an Average or Paeth row takes _unfilter_diagonals."""
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * nch)
+    ftype, lines = rows[:, 0], rows[:, 1:]
+    bad = np.flatnonzero(ftype > 4)
+    if bad.size:
+        r = int(bad[0])
+        raise ValueError(f"{path}: unsupported PNG filter type {ftype[r]} in row {r}")
+    if (ftype >= 3).any():
+        return _unfilter_diagonals(lines, ftype, w, nch)
+    out = lines.copy()
+    sub = ftype == 1  # a running sum along the row, per channel; uint8 wraps mod 256
+    out[sub] = np.cumsum(out[sub].reshape(-1, w, nch), axis=1, dtype=np.uint8).reshape(-1, w * nch)
+    up = ftype == 2
+    if up.any():
+        # An Up row adds the decoded row above, so row r is the running sum
+        # down the rows from p, the last other row at or before r (or from
+        # the zeros above the image): total[r] - total[p - 1].
+        total = np.cumsum(out, axis=0, dtype=np.uint8)
+        before = np.maximum.accumulate(np.where(up, -1, np.arange(h))) - 1
+        out = total - np.where((before >= 0)[:, None], total[np.maximum(before, 0)], 0)
     return out
+
+
+def _unfilter_diagonals(lines: np.ndarray, ftype: np.ndarray, w: int, nch: int) -> np.ndarray:
+    """Undo every row's filter, one anti-diagonal of pixels at a time.
+
+    Pixel (r, x) predicts from its left, upper and upper-left neighbours,
+    which lie on the anti-diagonals r + x - 1 and r + x - 2. So the pixels of
+    one anti-diagonal, across all rows, decode together: h + w - 1 vector
+    steps instead of h * w * nch scalar ones. q[t + 2, r + 1] holds the
+    decoded pixel (r, t - r); q's first two diagonals and its row 0 are the
+    zeros outside the image.
+    """
+    h = len(lines)
+    r = np.arange(h)[:, None]
+    t = r + np.arange(w)  # the anti-diagonal of each pixel
+    skew = np.zeros((h + w - 1, h, nch), dtype=np.uint8)
+    skew[t, r] = lines.reshape(h, w, nch)
+    q = np.zeros((h + w + 1, h + 1, nch), dtype=np.int16)
+    kind = ftype.astype(np.intp)[:, None]
+    zero = np.zeros((h, nch), dtype=np.int16)
+    for d in range(h + w - 1):
+        lo, hi = max(0, d - w + 1), min(h, d + 1)
+        left, up, ul = q[d + 1, lo + 1:hi + 1], q[d + 1, lo:hi], q[d, lo:hi]
+        pa, pb, pc = np.abs(up - ul), np.abs(left - ul), np.abs(left + up - 2 * ul)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
+        pred = np.choose(kind[lo:hi], (zero[lo:hi], left, up, (left + up) >> 1, paeth))
+        q[d + 2, lo + 1:hi + 1] = (skew[d, lo:hi] + pred) & 0xFF
+    return q[t + 2, r + 1].astype(np.uint8).reshape(h, w * nch)
 
 
 def read_png(path) -> Image:

@@ -25,10 +25,13 @@ and locked by tests so numbers are comparable run-to-run):
           masked contrast, preservation = min/max contrast ratio.
 
 Every window above is a Gaussian, which is separable: SSIM and VIF filter
-with the normalized 1-D window once along rows and once along columns, and
-the Qcb local means use the image module's separable blur. The conventions
-listed (sizes, sigmas, valid or same mode, zero padding) hold as stated; only
-the order of the sums differs from a 2-D window.
+with the normalized 1-D window through image.separable_filter: one
+band-matrix product down the rows and one along them, in row tiles of 32
+outputs (see the image module for the geometry rule), and the Qcb local
+means use the image module's blur, the same product with replicate padding. VIF's downsample keeps the
+even rows of its same-mode band. The conventions listed (sizes, sigmas,
+valid or same mode, zero padding) hold as stated; only the order of the sums
+differs from a 2-D window.
 
 report filters each image once. The fused image's SSIM moments (ssim_moments)
 and VIF pyramid (vif_scales) do not depend on the source it is compared with,
@@ -40,14 +43,15 @@ Variances are E[x^2] - mu^2, formed in place.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fft import _fft2_raw, _pad_pow2, next_pow2
-from .image import (as_gray, bins256, check_unit_range, correlate1d_valid, gaussian_blur,
-                    gaussian_window1d, histogram256)
+from .image import (as_gray, bins256, check_unit_range, gaussian_blur, gaussian_window1d,
+                    histogram256, separable_filter)
 
 _COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
@@ -103,20 +107,10 @@ def sf_ag(x) -> tuple:
 # -- SSIM / PSNR -----------------------------------------------------------------------
 
 
-def _filter_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid-mode 2-D filtering with the separable window outer(k, k)."""
-    return correlate1d_valid(correlate1d_valid(a, k, axis=0), k, axis=1)
-
-
-def _conv_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    lo = (len(k) - 1) // 2
-    return _filter_valid(np.pad(a, (lo, len(k) - 1 - lo)), k)
-
-
-def _variance(a: np.ndarray, mu: np.ndarray, conv, k: np.ndarray) -> np.ndarray:
-    """conv(a^2, k) - mu^2 clamped at 0, formed in place: rounding can leave
-    E[x^2] - mu^2 just below 0."""
-    var = conv(a * a, k)
+def _variance(a: np.ndarray, mu: np.ndarray, k: np.ndarray, pad: str) -> np.ndarray:
+    """separable_filter(a^2, k, pad) - mu^2 clamped at 0, formed in place:
+    rounding can leave E[x^2] - mu^2 just below 0."""
+    var = separable_filter(a * a, k, pad)
     var -= mu * mu
     return np.maximum(var, 0.0, out=var)
 
@@ -149,8 +143,8 @@ def ssim_moments(x) -> tuple:
     a = as_gray(x)
     if min(a.shape) < SSIM_WIN:
         raise ValueError(f"SSIM needs at least {SSIM_WIN}x{SSIM_WIN} pixels")
-    mu = _filter_valid(a, SSIM_WINDOW)
-    return mu, _variance(a, mu, _filter_valid, SSIM_WINDOW)
+    mu = separable_filter(a, SSIM_WINDOW)
+    return mu, _variance(a, mu, SSIM_WINDOW, "valid")
 
 
 def ssim_psnr(f, s, f_moments=None) -> tuple:
@@ -166,7 +160,7 @@ def ssim_psnr(f, s, f_moments=None) -> tuple:
     mu_b, var_b = ssim_moments(b)
     if mu_a.shape != mu_b.shape:
         raise ValueError(f"f_moments have shape {mu_a.shape}, expected {mu_b.shape}")
-    cov = _filter_valid(a * b, SSIM_WINDOW)
+    cov = separable_filter(a * b, SSIM_WINDOW)
     cov -= mu_a * mu_b
     ssim = float(ssim_map(mu_a, mu_b, var_a, var_b, cov).mean())
     mse = float(np.mean((a - b) ** 2))
@@ -188,11 +182,11 @@ def _vif_pyramid(x):
         n = 2 ** (4 - scale + 1) + 1
         win = gaussian_window1d(n, n / 5.0)
         if scale > 1:
-            a = _conv_same(a, win)[::2, ::2]
+            a = separable_filter(a, win, "zeros", step=2)  # the even rows and columns
             if a.size == 0:
                 return  # degenerate scale for tiny images
-        mu = _conv_same(a, win)
-        yield win, a, mu, _variance(a, mu, _conv_same, win)
+        mu = separable_filter(a, win, "zeros")
+        yield win, a, mu, _variance(a, mu, win, "zeros")
 
 
 def vif_scales(x) -> list:
@@ -218,7 +212,7 @@ def vif_pair(ref, dist, dist_scales=None) -> float:
         raise ValueError(f"dist_scales have shape {dist_scales[0][1].shape}, expected {a.shape}")
     num = den = 0.0
     for (win, a, mu_a, s_a), (_, b, mu_b, s_b) in zip(_vif_pyramid(a), dist_scales):
-        s_ab = _conv_same(a * b, win)
+        s_ab = separable_filter(a * b, win, "zeros")
         s_ab -= mu_a * mu_b
         g = s_a + 1e-10
         np.divide(s_ab, g, out=g)  # g = s_ab / (s_a + 1e-10)
@@ -273,15 +267,18 @@ def scd_cc(f, a, b) -> tuple:
 # -- Qcb --------------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
 def _csf_response(shape: tuple) -> np.ndarray:
     """Difference-of-Gaussians contrast sensitivity on the padded frequency
-    grid of an image of this shape."""
+    grid of an image of this shape; built once per shape and read-only."""
     hp, wp = next_pow2(shape[0]), next_pow2(shape[1])
     fy = np.fft.fftfreq(hp) * hp / 30.0  # 30 pixels per degree
     fx = np.fft.fftfreq(wp) * wp / 30.0
     r = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)
     f0, f1, aa = 15.3870, 1.3456, 0.7622
-    return np.exp(-((r / f0) ** 2)) - aa * np.exp(-((r / f1) ** 2))
+    sd = np.exp(-((r / f0) ** 2)) - aa * np.exp(-((r / f1) ** 2))
+    sd.flags.writeable = False
+    return sd
 
 
 def _csf_filter(a: np.ndarray, sd: np.ndarray) -> np.ndarray:

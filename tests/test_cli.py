@@ -1,5 +1,7 @@
 """End-to-end command checks on a tiny configuration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,37 @@ def test_bench_table(workspace, tmp_path):
     scatter = (out / "scatter.csv").read_text().splitlines()
     assert scatter[0] == "runtime_s,sf,ag,steps"
     assert len(scatter) == 1 + 3
+
+
+def test_bench_rejects_a_data_size_the_flow_checkpoint_was_not_trained_at(workspace, tmp_path):
+    # the flow was trained at 16 px (latent dim 64); 32 px gives dim 256
+    root, _, run = workspace
+    cfgfile = tmp_path / "size32.cfg"
+    cfgfile.write_text(TINY_CFG.replace("data.size = 16", "data.size = 32"))
+    flow = run / "flow.rffz"
+    want = (r"data.size = 32 gives latent dim 256, but the flow checkpoint "
+            rf"{re.escape(str(flow))} expects 64")
+    with pytest.raises(ValueError, match=want):
+        main(["--config", str(cfgfile), "--out", str(tmp_path / "b"), "bench",
+              "--codec", str(run / "codec2.rffz"), "--flow", str(flow), "--steps", "1"])
+
+
+@pytest.mark.parametrize("steps", ["0", "1,x", "2,-1", ""])
+def test_bench_rejects_bad_step_counts_naming_the_flag(workspace, tmp_path, steps):
+    _, cfgfile, run = workspace
+    with pytest.raises(ValueError, match=rf"--steps '{re.escape(steps)}'"):
+        main(["--config", str(cfgfile), "--out", str(tmp_path / "b"), "bench",
+              "--codec", str(run / "codec2.rffz"), "--flow", str(run / "flow.rffz"),
+              "--steps", steps])
+
+
+@pytest.mark.parametrize("runs", ["4", "2", "-3"])
+def test_bench_rejects_fewer_than_five_runs_naming_the_flag(workspace, tmp_path, runs):
+    _, cfgfile, run = workspace
+    with pytest.raises(ValueError, match=rf"--runs {runs}: at least 5"):
+        main(["--config", str(cfgfile), "--out", str(tmp_path / "b"), "bench",
+              "--codec", str(run / "codec2.rffz"), "--flow", str(run / "flow.rffz"),
+              "--steps", "1", "--runs", runs])
 
 
 def _degenerate_flow_ckpt(path, dim, c=0.0):

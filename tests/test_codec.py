@@ -589,30 +589,35 @@ def test_ssim_term_shares_the_fused_moments_with_the_same_value():
 
 
 def test_stage2_backward_calls_no_vjp_of_the_frozen_encoder(monkeypatch):
-    from flowfuse import autodiff as ad
+    # the frozen encoder's output takes no gradient, so it holds no parents and
+    # no vjp: the backward, spied on the decoder side, stops at it
     from flowfuse import codec as codec_mod
 
-    encoder_nodes, called = [], []
-    real_encode = codec_mod._encode_nodes
+    latents, decoder_nodes, called = [], [], []
+    real_decode = codec_mod._decode_nodes
 
-    def encode_and_spy(get, p, x):
-        z = real_encode(get, p, x)
-        stack = [z]
+    def decode_and_spy(get, p, z):
+        latents.append(z)
+        f = real_decode(get, p, z)
+        stack = [f]
         while stack:
             node = stack.pop()
-            if node.vjp is not None and all(node is not e for e in encoder_nodes):
-                encoder_nodes.append(node)
-                node.vjp = (lambda vjp: lambda g: called.append(1) or vjp(g))(node.vjp)
+            if node.vjp is not None and all(node is not d for d in decoder_nodes):
+                decoder_nodes.append(node)
+                node.vjp = (lambda n, vjp: lambda g: called.append(n) or vjp(g))(node, node.vjp)
                 stack.extend(node.parents)
-        return z
+        return f
 
-    monkeypatch.setattr(codec_mod, "_encode_nodes", encode_and_spy)
+    monkeypatch.setattr(codec_mod, "_decode_nodes", decode_and_spy)
     p = CodecParams.initialize(hidden=(4, 6), seed=29).with_freeze("encoder")
     pairs = [(textures(1, 16, 29)[0], textures(1, 16, 30)[0])]
     stage2_step(p, pairs, LossWeights())
-    assert sum(n.op == "conv2d" for n in encoder_nodes) == 3
-    assert not any(n.requires_grad for n in encoder_nodes)
-    assert called == []
+    (z,) = latents
+    assert z.op == "add" and not z.requires_grad
+    assert z.parents == () and z.vjp is None
+    assert any(z in n.parents for n in decoder_nodes)  # the walk reached the encoder
+    assert sorted(n.op for n in decoder_nodes if "conv" in n.op) == ["conv2d", "tconv2d", "tconv2d"]
+    assert {id(n) for n in called} == {id(n) for n in decoder_nodes}
 
 
 def test_encode_equals_the_stage1_graph_bit_for_bit():

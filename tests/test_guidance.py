@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowfuse.flow import SampleSchedule, VelocityModel, euler_sample
-from flowfuse.image import correlate1d_valid, gaussian_kernel1d
+from flowfuse.image import gaussian_blur
 from flowfuse.guidance import (
     GuidanceSpec,
     WeightMaps,
@@ -15,18 +15,10 @@ from flowfuse.guidance import (
 )
 
 
-def old_blur(a, sigma):
-    """gaussian_blur as it was before stacks: np.pad, then one pass per axis."""
-    k = gaussian_kernel1d(sigma)
-    r = (len(k) - 1) // 2
-    rows = correlate1d_valid(np.pad(a, ((r, r), (0, 0)), mode="edge"), k, axis=0)
-    return correlate1d_valid(np.pad(rows, ((0, 0), (r, r)), mode="edge"), k, axis=1)
-
-
 def old_saliency(i, v):
     """saliency_weights as it was: one blur per source; returns (w_v, w_ir)."""
-    s_ir = old_blur(np.abs(i - i.mean()), 3.0)
-    s_v = old_blur(np.abs(v - v.mean()), 3.0)
+    s_ir = gaussian_blur(np.abs(i - i.mean()), 3.0)
+    s_v = gaussian_blur(np.abs(v - v.mean()), 3.0)
     w_ir = (s_ir + 1e-8 / 2) / (s_ir + s_v + 1e-8)
     return 1.0 - w_ir, w_ir
 

@@ -3,14 +3,16 @@ import pytest
 
 from flowfuse.image import (
     Image,
-    correlate1d_valid,
+    correlate1d,
     gaussian_blur,
     gaussian_kernel1d,
     gaussian_window1d,
     histogram256,
     luma,
     rgb_ycbcr,
+    separable_filter,
 )
+from flowfuse.metrics import SSIM_WINDOW
 
 class TestImageType:
     def test_values_clamped_on_entry(self):
@@ -55,7 +57,7 @@ class TestCorrelate1d:
         for n in range(3, 18):
             k = rng.standard_normal(n)
             for axis in (0, 1):
-                got = correlate1d_valid(a, k, axis)
+                got = correlate1d(a, k, axis)
                 want = self.oracle(a, k, axis)
                 assert got.shape == want.shape, (n, axis)
                 assert np.abs(got - want).max() < 1e-12, (n, axis)
@@ -69,10 +71,86 @@ class TestCorrelate1d:
         k = np.ones(65) / 65
         for axis in (0, 1):
             tracemalloc.start()
-            correlate1d_valid(a, k, axis)
+            correlate1d(a, k, axis)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 2 * a.nbytes, (axis, peak)
+
+
+class TestBandProduct:
+    """correlate1d and separable_filter, one band-matrix product per axis,
+    against one sequential sum per tap over shifted copies."""
+
+    @staticmethod
+    def tap_sum(a, k, axis, pad, step=1):
+        m = len(k)
+        a = np.moveaxis(a, axis, 0)
+        if pad != "valid":
+            lo = (m - 1) // 2
+            widths = [(lo, m - 1 - lo)] + [(0, 0)] * (a.ndim - 1)
+            a = np.pad(a, widths, mode="edge" if pad == "replicate" else "constant")
+        n_out = a.shape[0] - m + 1
+        out = sum(k[d] * a[d : d + n_out] for d in range(m))
+        return np.moveaxis(out[::step], 0, axis)
+
+    @pytest.mark.parametrize("pad", ["valid", "zeros", "replicate"])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_matches_the_tap_sum(self, pad, step):
+        rng = np.random.default_rng(17)
+        # odd sizes, one-row and one-column images, and axes of about 200
+        # samples, several row tiles long (32 outputs, 16 at stride 2, or 65
+        # for 65 taps)
+        for shape in ((13, 9), (1, 17), (17, 1), (200, 21), (21, 203)):
+            a = rng.random(shape)
+            for m in (1, 3, 4, 11, 15, 65):
+                k = rng.standard_normal(m)
+                for axis in (0, 1):
+                    if pad == "valid" and m > shape[axis]:
+                        continue
+                    got = correlate1d(a, k, axis, pad, step)
+                    want = self.tap_sum(a, k, axis, pad, step)
+                    assert got.shape == want.shape, (shape, m, axis)
+                    assert np.abs(got - want).max() < 1e-12, (shape, m, axis)
+
+    @pytest.mark.parametrize("pad", ["zeros", "replicate"])
+    def test_a_window_longer_than_the_axis(self, pad):
+        rng = np.random.default_rng(18)
+        a, k = rng.random((5, 7)), rng.random(193)  # 193 taps: Qcb's sigma-32 blur
+        for axis in (0, 1):
+            got = correlate1d(a, k, axis, pad)
+            assert np.abs(got - self.tap_sum(a, k, axis, pad)).max() < 1e-12, axis
+        with pytest.raises(ValueError, match="15-tap window is longer than the axis of 7"):
+            correlate1d(a, k[:15], 1)
+
+    def test_either_of_the_last_two_axes_of_a_stack(self):
+        a, k = np.random.default_rng(19).random((6, 5, 4)), np.array([0.25, 0.5, 0.25])
+        for axis in (1, 2, -1):
+            for pad in ("valid", "zeros", "replicate"):
+                want = self.tap_sum(a, k, axis, pad)
+                assert np.abs(correlate1d(a, k, axis, pad) - want).max() < 1e-15, (axis, pad)
+        with pytest.raises(ValueError, match="axis 0 of a 3-D array"):
+            correlate1d(a, k, 0)
+
+    def test_separable_filter_is_one_pass_per_axis(self):
+        rng = np.random.default_rng(20)
+        a, k = rng.random((23, 170)), rng.random(9)
+        for pad in ("valid", "zeros", "replicate"):
+            want = self.tap_sum(self.tap_sum(a, k, 0, pad, 2), k, 1, pad, 2)
+            assert np.abs(separable_filter(a, k, pad, step=2) - want).max() < 1e-12, pad
+
+    @pytest.mark.parametrize("pad,step,k", [
+        ("valid", 1, SSIM_WINDOW),  # SSIM
+        ("zeros", 1, gaussian_window1d(17, 17 / 5.0)),  # VIF's first scale
+        ("zeros", 2, gaussian_window1d(9, 9 / 5.0)),  # VIF's downsample
+        ("replicate", 1, gaussian_kernel1d(32.0)),  # Qcb's local mean
+    ])
+    def test_a_stack_gets_the_bits_of_per_image_filters(self, pad, step, k):
+        rng = np.random.default_rng(21)
+        for shape in ((11, 11), (16, 16), (17, 17), (12, 31), (33, 13), (128, 128), (170, 41)):
+            imgs = rng.random((3, *shape))
+            got = separable_filter(imgs, k, pad, step)
+            for img, out in zip(imgs, got):
+                assert np.array_equal(out, separable_filter(img, k, pad, step)), shape
 
 
 class TestHistogram:

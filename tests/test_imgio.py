@@ -193,6 +193,50 @@ def test_png_with_idat_split_over_chunks_decodes_the_same(tmp_path, shape):
     assert np.array_equal(read_png(split).pixels, img.pixels)
 
 
+# -- filtered scanlines: each filter type, and mixes of them ------------------------------
+
+
+def w3c_filter(pixels, ftypes, bpp):
+    """Scanlines of the (h, w * bpp) uint8 rows, row r filtered with type
+    ftypes[r] as the W3C PNG specification's "Filtering" section defines it:
+    Filt(x) = Orig(x) - Predictor(a, b, c) mod 256, where a is the byte bpp to
+    the left, b the byte above and c the byte above a, all 0 outside the image."""
+    lines, prev = b"", np.zeros(pixels.shape[1], dtype=np.int64)
+    for row, ftype in zip(pixels.astype(np.int64), ftypes):
+        a = np.concatenate([np.zeros(bpp, dtype=np.int64), row[:-bpp]])
+        b, c = prev, np.concatenate([np.zeros(bpp, dtype=np.int64), prev[:-bpp]])
+        p = a + b - c
+        pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        pred = (0, a, b, (a + b) // 2, paeth)[ftype]
+        lines += bytes([ftype]) + ((row - pred) % 256).astype(np.uint8).tobytes()
+        prev = row
+    return lines
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), h=st.integers(1, 12), w=st.integers(1, 12), nch=st.sampled_from([1, 3]),
+       one_type=st.sampled_from([None, 0, 1, 2, 3, 4]))
+def test_every_filter_type_and_mix_decodes_to_the_encoded_bytes(tmp_path, data, h, w, nch,
+                                                                  one_type):
+    # one filter type for every row, or (one_type None) a random type per row;
+    # images of a few levels, like flat regions, make Paeth's ties common
+    top = data.draw(st.sampled_from([3, 255]))
+    pixels = np.array(data.draw(st.lists(st.integers(0, top), min_size=h * w * nch,
+                                         max_size=h * w * nch)), dtype=np.uint8)
+    pixels = pixels.reshape(h, w * nch)
+    ftypes = ([one_type] * h if one_type is not None
+              else data.draw(st.lists(st.integers(0, 4), min_size=h, max_size=h)))
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0 if nch == 1 else 2, 0, 0, 0)
+    blob = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+    blob += _chunk(b"IDAT", zlib.compress(w3c_filter(pixels, ftypes, nch))) + _chunk(b"IEND", b"")
+    p = tmp_path / "filtered.png"
+    p.write_bytes(blob)
+    got = np.round(read_png(p).pixels * 255).astype(np.uint8)
+    assert np.array_equal(got.reshape(h, w * nch), pixels), ftypes
+
+
 # -- malformed PGM/PPM files: each a ValueError naming the path ---------------------------
 
 
