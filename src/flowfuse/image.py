@@ -173,7 +173,26 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 _TILE = 32
 
 
-# an entry holds n_out * (tile + m - 1) floats: 40 KiB for SSIM's window at 128 px
+def _band_block(first: np.ndarray, k: np.ndarray, n: int, pad: str, c0: int, c1: int) -> np.ndarray:
+    """The rows of the band matrix for the outputs whose first taps read the
+    samples first, over the sample columns c0:c1; read-only."""
+    c = first[:, None] + np.arange(len(k))
+    if pad == "replicate":
+        c = np.clip(c, 0, n - 1)
+    inside = (c >= 0) & (c < n)  # zero padding drops the taps outside
+    block = np.zeros((len(first), c1 - c0))
+    # row-major, so an element's taps add in tap order: an edge sum of
+    # replicate padding adds k[0] first
+    np.add.at(block, (np.nonzero(inside)[0], c[inside] - c0), np.broadcast_to(k, c.shape)[inside])
+    block.flags.writeable = False
+    return block
+
+
+# An entry holds at most four distinct blocks of about tile x (tile + m - 1)
+# floats (the first tile, the interior ones, and the one or two tiles that
+# reach past the far end), or one n_out x n band for an axis of one tile:
+# 16 KiB for SSIM's window at any size, 128 KiB for Qcb's 193-tap blur at
+# 128 px. So a cold build costs O(tile x m) per block, not O(n^2).
 @functools.lru_cache(maxsize=32)
 def _band_tiles(n: int, taps: bytes, pad: str, step: int) -> tuple:
     """The 1-D filter with these float64 taps over n samples, keeping every
@@ -190,19 +209,21 @@ def _band_tiles(n: int, taps: bytes, pad: str, step: int) -> tuple:
     else:
         raise ValueError(f"pad must be valid, zeros or replicate, got {pad!r}")
     n_out = len(first)  # first[i]: the sample output i's first tap reads
-    band = np.zeros((n_out, n))
-    out_idx = np.arange(n_out)
-    for d, tap in enumerate(k):  # in tap order, so an edge sum adds k[0] first
-        c = np.clip(first + d, 0, n - 1) if pad == "replicate" else first + d
-        inside = (c >= 0) & (c < n)  # zero padding drops the taps outside
-        band[out_idx[inside], c[inside]] += tap
     size = max(_TILE // step, m)
-    tiles = []
+    if size >= n_out:
+        return ((0, n_out, 0, n, _band_block(first, k, n, pad, 0, n)),)
+    tiles, interior = [], None
     for o0 in range(0, n_out, size):
         o1 = min(o0 + size, n_out)
-        c0, c1 = max(int(first[o0]), 0), min(int(first[o1 - 1]) + m, n)
-        block = band if size >= n_out else np.ascontiguousarray(band[o0:o1, c0:c1])
-        block.flags.writeable = False
+        lo, hi = int(first[o0]), int(first[o1 - 1]) + m
+        c0, c1 = max(lo, 0), min(hi, n)
+        if o1 - o0 == size and (lo, hi) == (c0, c1):
+            # a whole tile clear of the edges: all of them hold the same block
+            if interior is None:
+                interior = _band_block(first[o0:o1], k, n, pad, c0, c1)
+            block = interior
+        else:
+            block = _band_block(first[o0:o1], k, n, pad, c0, c1)
         tiles.append((o0, o1, c0, c1, block))
     return tuple(tiles)
 

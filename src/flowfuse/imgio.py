@@ -59,28 +59,17 @@ def write_png(path, img: Image) -> None:
 
 def _unfilter(raw: bytes, h: int, w: int, nch: int, path) -> np.ndarray:
     """The (h, w * nch) bytes of the scanlines in raw, each led by its filter
-    type byte, with the PNG filters undone. None, Sub and Up rows take whole-
-    array steps; an image with an Average or Paeth row takes _unfilter_diagonals."""
+    type byte, with the PNG filters undone: a copy when every row is None, as
+    write_png writes them, and _unfilter_diagonals otherwise."""
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * nch)
     ftype, lines = rows[:, 0], rows[:, 1:]
     bad = np.flatnonzero(ftype > 4)
     if bad.size:
         r = int(bad[0])
         raise ValueError(f"{path}: unsupported PNG filter type {ftype[r]} in row {r}")
-    if (ftype >= 3).any():
-        return _unfilter_diagonals(lines, ftype, w, nch)
-    out = lines.copy()
-    sub = ftype == 1  # a running sum along the row, per channel; uint8 wraps mod 256
-    out[sub] = np.cumsum(out[sub].reshape(-1, w, nch), axis=1, dtype=np.uint8).reshape(-1, w * nch)
-    up = ftype == 2
-    if up.any():
-        # An Up row adds the decoded row above, so row r is the running sum
-        # down the rows from p, the last other row at or before r (or from
-        # the zeros above the image): total[r] - total[p - 1].
-        total = np.cumsum(out, axis=0, dtype=np.uint8)
-        before = np.maximum.accumulate(np.where(up, -1, np.arange(h))) - 1
-        out = total - np.where((before >= 0)[:, None], total[np.maximum(before, 0)], 0)
-    return out
+    if not ftype.any():
+        return lines.copy()
+    return _unfilter_diagonals(lines, ftype, w, nch)
 
 
 def _unfilter_diagonals(lines: np.ndarray, ftype: np.ndarray, w: int, nch: int) -> np.ndarray:
@@ -89,26 +78,36 @@ def _unfilter_diagonals(lines: np.ndarray, ftype: np.ndarray, w: int, nch: int) 
     Pixel (r, x) predicts from its left, upper and upper-left neighbours,
     which lie on the anti-diagonals r + x - 1 and r + x - 2. So the pixels of
     one anti-diagonal, across all rows, decode together: h + w - 1 vector
-    steps instead of h * w * nch scalar ones. q[t + 2, r + 1] holds the
-    decoded pixel (r, t - r); q's first two diagonals and its row 0 are the
-    zeros outside the image.
+    steps instead of h * w * nch scalar ones. A diagonal's pixels are indexed
+    along the shorter side, by row r if h <= w and by column x otherwise, so
+    the diagonals take (h + w) * min(h, w) slots, at most twice the pixels.
+    q[t + 2, i + 1] holds the decoded pixel of index i on diagonal t; q's
+    first two diagonals, its slot 0 and each diagonal's slot past its last
+    pixel are the zeros outside the image.
     """
     h = len(lines)
-    r = np.arange(h)[:, None]
-    t = r + np.arange(w)  # the anti-diagonal of each pixel
-    skew = np.zeros((h + w - 1, h, nch), dtype=np.uint8)
-    skew[t, r] = lines.reshape(h, w, nch)
-    q = np.zeros((h + w + 1, h + 1, nch), dtype=np.int16)
+    by_col = w < h
+    n = min(h, w)
+    r, x = np.arange(h)[:, None], np.arange(w)
+    t = r + x  # the anti-diagonal of each pixel
+    i = np.broadcast_to(x if by_col else r, t.shape)  # its index on the diagonal
+    skew = np.zeros((h + w - 1, n, nch), dtype=np.uint8)
+    skew[t, i] = lines.reshape(h, w, nch)
+    q = np.zeros((h + w + 1, n + 1, nch), dtype=np.int16)
     kind = ftype.astype(np.intp)[:, None]
-    zero = np.zeros((h, nch), dtype=np.int16)
+    zero = np.zeros((n, nch), dtype=np.int16)
     for d in range(h + w - 1):
-        lo, hi = max(0, d - w + 1), min(h, d + 1)
-        left, up, ul = q[d + 1, lo + 1:hi + 1], q[d + 1, lo:hi], q[d, lo:hi]
+        lo, hi = max(0, d - (h if by_col else w) + 1), min(n, d + 1)
+        prev, ul = q[d + 1], q[d, lo:hi]
+        if by_col:  # slot x holds row d - x: left is slot x - 1, up slot x
+            left, up, k = prev[lo:hi], prev[lo + 1:hi + 1], kind[d - hi + 1:d - lo + 1][::-1]
+        else:  # slot r holds column d - r: left is slot r, up slot r - 1
+            left, up, k = prev[lo + 1:hi + 1], prev[lo:hi], kind[lo:hi]
         pa, pb, pc = np.abs(up - ul), np.abs(left - ul), np.abs(left + up - 2 * ul)
         paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
-        pred = np.choose(kind[lo:hi], (zero[lo:hi], left, up, (left + up) >> 1, paeth))
+        pred = np.choose(k, (zero[lo:hi], left, up, (left + up) >> 1, paeth))
         q[d + 2, lo + 1:hi + 1] = (skew[d, lo:hi] + pred) & 0xFF
-    return q[t + 2, r + 1].astype(np.uint8).reshape(h, w * nch)
+    return q[t + 2, i + 1].astype(np.uint8).reshape(h, w * nch)
 
 
 def read_png(path) -> Image:

@@ -112,6 +112,21 @@ class TestBandProduct:
                     assert got.shape == want.shape, (shape, m, axis)
                     assert np.abs(got - want).max() < 1e-12, (shape, m, axis)
 
+    @pytest.mark.parametrize("pad", ["valid", "zeros", "replicate"])
+    def test_a_cold_build_on_a_long_axis_holds_no_dense_band(self, pad):
+        # fresh taps miss the cache; a dense 4096 x 4096 band would be 128 MiB,
+        # the row tiles of 11 taps a few blocks of 32 x 42
+        import tracemalloc
+
+        rng = np.random.default_rng(22)
+        a, k = rng.random((2, 4096)), rng.standard_normal(11)
+        tracemalloc.start()
+        got = correlate1d(a, k, -1, pad)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert np.abs(got - self.tap_sum(a, k, 1, pad)).max() < 1e-12
+
     @pytest.mark.parametrize("pad", ["zeros", "replicate"])
     def test_a_window_longer_than_the_axis(self, pad):
         rng = np.random.default_rng(18)

@@ -237,6 +237,30 @@ def test_every_filter_type_and_mix_decodes_to_the_encoded_bytes(tmp_path, data, 
     assert np.array_equal(got.reshape(h, w * nch), pixels), ftypes
 
 
+@pytest.mark.parametrize("h,w,nch", [(3000, 1, 1), (1, 3000, 1), (700, 2, 3), (2, 700, 3)])
+def test_a_long_thin_paeth_png_decodes_in_memory_linear_in_its_pixels(tmp_path, h, w, nch):
+    # the anti-diagonals are indexed along the shorter side: indexed by row,
+    # a 3000 x 1 image would take 3000 x 3000 slots of each working array
+    import time
+    import tracemalloc
+
+    pixels = np.random.default_rng(h).integers(0, 256, (h, w * nch)).astype(np.uint8)
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0 if nch == 1 else 2, 0, 0, 0)
+    blob = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+    blob += _chunk(b"IDAT", zlib.compress(w3c_filter(pixels, [4] * h, nch))) + _chunk(b"IEND", b"")
+    p = tmp_path / "thin.png"
+    p.write_bytes(blob)
+    tracemalloc.start()
+    start = time.perf_counter()
+    img = read_png(p)
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(np.round(img.pixels * 255).astype(np.uint8).reshape(h, -1), pixels)
+    assert peak < 64 * pixels.size + 65536, peak
+    assert seconds < 5.0, seconds
+
+
 # -- malformed PGM/PPM files: each a ValueError naming the path ---------------------------
 
 
