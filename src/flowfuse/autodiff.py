@@ -6,14 +6,18 @@ rebuilt per step; backward() walks the DAG in reverse topological order and
 accumulates adjoints. Primitives:
 
     add, sub, mul, div, matmul, column concat, reshape, conv2d (stride 1|2)
-    and its adjoint transposed conv2d, leaky_relu, tanh, log1p, abs
-    (subgradient 0 at 0), sum, mean, fft2 (complex, linear adjoint), complex
-    magnitude, min-max normalize (per slice over the trailing two axes), clamp
-    (identity inside the bounds, zero outside).
+    and its adjoint transposed conv2d, band_filter (a fixed separable
+    valid-mode window), leaky_relu, tanh, log1p, abs (subgradient 0 at 0),
+    sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
+    normalize (per slice over the trailing two axes), clamp (identity inside
+    the bounds, zero outside).
 
 conv2d, transposed conv2d and fft2 take a leading batch axis, so a batch of
 images runs as one graph. transposed conv2d runs conv2d's kernels in reverse:
 its forward is conv2d's input gradient, and its input gradient conv2d's forward.
+conv2d serves the learned layers. A fixed window, such as a loss's SSIM or
+Sobel filter, is a band_filter: image.correlate1d's band products over the
+last two axes of any stack, so the loss filters with the metrics' matrices.
 
 A leaf takes a gradient and a constant does not; an op node takes one iff
 one of its parents does. So a graph over frozen parameters or fixed data,
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fft as _fft
+from .image import correlate1d
 
 
 class Node:
@@ -374,6 +379,24 @@ def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
                     if w.requires_grad else None)
 
     return Node(out, (x, w), vjp, op="tconv2d")
+
+
+def band_filter(x, k_rows, k_cols) -> Node:
+    """Valid-mode correlation of the last two axes of x with the fixed window
+    outer(k_rows, k_cols): image.correlate1d with k_rows down the rows, then
+    with k_cols along them. Leading axes are a stack.
+
+    The filter is M_r @ x @ M_c.T for the valid band matrices of the taps, so
+    its vjp is M_r.T @ g @ M_c: correlate1d's full mode with the taps
+    reversed, on the same band tiles, never a dense band."""
+    x = _wrap(x)
+    k_rows, k_cols = (np.asarray(k, dtype=np.float64) for k in (k_rows, k_cols))
+    if x.value.ndim < 2 or x.shape[-2] < len(k_rows) or x.shape[-1] < len(k_cols):
+        raise ValueError(f"band_filter input {x.shape} is smaller than the kernel "
+                         f"{len(k_rows)}x{len(k_cols)}")
+    out = correlate1d(correlate1d(x.value, k_rows, -2), k_cols, -1)
+    return Node(out, (x,), lambda g: (correlate1d(correlate1d(g, k_rows[::-1], -2, "full"),
+                                                  k_cols[::-1], -1, "full"),), op="band_filter")
 
 
 # -- nonlinearities ------------------------------------------------------------------

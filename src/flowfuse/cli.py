@@ -324,7 +324,7 @@ def cmd_eval(args) -> int:
     fused_dir, a_dir, b_dir = Path(args.fused), Path(args.src_a), Path(args.src_b)
     rows, missing = [], []
     for pf in _list_images(fused_dir):
-        stem = pf.stem.replace("_fused", "")
+        stem = pf.stem.removesuffix("_fused")
         pa = next((a_dir / f"{stem}{ext}" for ext in _IMAGE_SUFFIXES
                    if (a_dir / f"{stem}{ext}").exists()), None)
         pb = next((b_dir / f"{stem}{ext}" for ext in _IMAGE_SUFFIXES

@@ -178,9 +178,9 @@ def _freq_loss_node(a: ad.Node, b: ad.Node) -> ad.Node:
 # -- fusion loss -----------------------------------------------------------------------
 
 def _ssim_filter(x: ad.Node) -> ad.Node:
-    """The 11x11 SSIM window as two valid 1-D passes: along rows, then columns."""
-    return ad.conv2d(ad.conv2d(x, SSIM_WINDOW[None, None, None, :]),
-                     SSIM_WINDOW[None, None, :, None])
+    """The 11x11 SSIM window, valid mode: the bits of the metric's
+    image.separable_filter(x, SSIM_WINDOW)."""
+    return ad.band_filter(x, SSIM_WINDOW, SSIM_WINDOW)
 
 
 def _ssim_moments(x: ad.Node):
@@ -211,12 +211,17 @@ def _ssim_node(a: ad.Node, b: ad.Node, a_moments) -> ad.Node:
 
 # Sobel x is outer([1, 2, 1], [-1, 0, 1]): smoothing down the rows, a central
 # difference along them; Sobel y is its transpose.
-_SOBEL_X = np.outer([1.0, 2.0, 1.0], [-1.0, 0.0, 1.0])
+_SMOOTH, _DIFF = np.array([1.0, 2.0, 1.0]), np.array([-1.0, 0.0, 1.0])
 
 
 def _sobel_pair(x4: ad.Node):
     """|Sobel x| and |Sobel y| of an (n, 1, H, W) node, valid mode."""
-    return tuple(ad.absolute(ad.conv2d(x4, k[None, None])) for k in (_SOBEL_X, _SOBEL_X.T))
+    if x4.value.ndim != 4:
+        raise ValueError(f"Sobel expects a 4-D input (n, 1, H, W), got shape {x4.shape}")
+    if x4.shape[1] != 1:
+        raise ValueError(f"Sobel channel mismatch: input {x4.shape[1]}, expected 1")
+    return tuple(ad.absolute(ad.band_filter(x4, kr, kc))
+                 for kr, kc in ((_SMOOTH, _DIFF), (_DIFF, _SMOOTH)))
 
 
 def _fusion_loss_nodes(f: ad.Node, i3: np.ndarray, v3: np.ndarray, w: LossWeights,

@@ -7,6 +7,13 @@ input up to the next power of two, so the spectrum always lives on the
 padded grid. The inverse is unnormalized too: callers divide by the grid size.
 The adjoint (conjugate-transposed) transform is exported for reverse-mode
 differentiation: the DFT is linear, so the adjoint is exact.
+
+A real input of width W has a Hermitian spectrum, F(-u, -v) = conj F(u, v),
+so its columns 0 .. W // 2 hold all of it. The real-input pair (real_width
+set) keeps only that half spectrum: the forward takes a real grid to it, the
+inverse takes it back to a real grid of real_width columns, at about half the
+complex transform's cost. The metrics filter real images this way; the tape's
+fft2 stays complex. This module is the one place numpy's FFT is called.
 """
 
 from __future__ import annotations
@@ -34,12 +41,21 @@ def _pad_pow2(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fft2_raw(a: np.ndarray, inverse: bool) -> np.ndarray:
+def _fft2_raw(a: np.ndarray, inverse: bool, real_width: int | None = None) -> np.ndarray:
     """Unnormalized DFT of the trailing two axes; inverse flips the sign of
-    the exponent and does not divide by the grid size."""
+    the exponent and does not divide by the grid size.
+
+    With real_width set, the transform is the real-input pair: the forward
+    takes a real a of real_width columns to its real_width // 2 + 1 column
+    half spectrum, and the inverse takes such a half spectrum back to the
+    real grid of real_width columns."""
+    if real_width is None:
+        if inverse:
+            return np.fft.ifft2(a, norm="forward")
+        return np.fft.fft2(a)
     if inverse:
-        return np.fft.ifft2(a, norm="forward")
-    return np.fft.fft2(a)
+        return np.fft.irfft2(a, s=(a.shape[-2], real_width), norm="forward")
+    return np.fft.rfft2(a)
 
 
 def fft2_adjoint(g: np.ndarray, crop=None) -> np.ndarray:

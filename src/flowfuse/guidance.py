@@ -8,12 +8,16 @@ damping 1/(1 + 2 rho dt) so that one large-rho step lands on y instead of
 overshooting (the dt -> 0 limit is the plain continuous-time field).
 
 The target is rebuilt at every step, though the weighted target depends only
-on the sources. Building its weight maps once per euler_sample call puts a
-cost larger than one step into a one-step sample: the sampler-cost
-acceptance check (A9, one-step time under 1/50 of the 100-step time) then
-read 1/27 to 1/33 and failed 20 of 20 runs on a 2-vCPU host. So the per-step
-target is kept cheap instead: one stacked blur for both sources, and latent
-weight maps that stay (H, W) and broadcast over the channels.
+on the sources. Building its weight maps once per euler_sample call keeps
+every bit and makes a 20-step stop-grad fuse at 128 px 18-22% faster (p50, 4
+of 4 benchmark pairs), but it moves a saliency pass into every call, which a
+one-step sample pays whole. At the sampler-cost acceptance check's dim 1024
+(A9: one-step time under 1/50 of the 100-step time), a warm step then costs
+about half a one-step call (0.15 against 0.31 ms), and A9 read 1/45 to 1/55
+and passed 9 of 20 runs on a 2-vCPU host, against 1/67 to 1/91 and 20 of 20
+with the target rebuilt per step. So the per-step target is kept cheap
+instead: one stacked blur for both sources, and latent weight maps that stay
+(H, W) and broadcast over the channels.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Image type and pixel-domain primitives: histograms, Gaussian windows and
 blur (of one image, or of a stack of them in one pass), one 1-D correlation
-(valid, zero or replicate padding, any output stride) computed as a cached
-band-matrix product, row-tiled (every window here is separable, so a 2-D
-filter is Mh @ a @ Mw.T), BT.601 color conversion.
+(valid, full, zero or replicate padding, any output stride) computed as a
+cached band-matrix product, row-tiled (every window here is separable, so a
+2-D filter is Mh @ a @ Mw.T), BT.601 color conversion.
 
 Pixel values live in [0, 1] float64 everywhere; 8-bit I/O converts by /255
 and round(*255) at the file boundary (see imgio). Color images carry an
@@ -140,8 +140,10 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 #
 # A 1-D filter of n samples is an (n_out x n) matrix M, set by the m taps k,
 # the padding and the output stride: valid (no padding, n_out = n - m + 1),
-# zeros (same size, zero padding) or replicate (same size, copies of the edge
-# samples, summed into M's first and last columns). Its rows are k shifted
+# full (m - 1 zeros on each side, n_out = n + m - 1: every window that
+# overlaps the axis, so with the taps reversed it is the transpose of valid's
+# M), zeros (same size, zero padding) or replicate (same size, copies of the
+# edge samples, summed into M's first and last columns). Its rows are k shifted
 # one step each, so M is a band of width m. Filtering the last two axes of
 # (..., H, W) with outer(k, k) is then Mh @ a @ Mw.T, one GEMM per row tile of
 # M (below). A stack broadcasts into GEMMs of the same shapes per image, so
@@ -204,10 +206,12 @@ def _band_tiles(n: int, taps: bytes, pad: str, step: int) -> tuple:
         if m > n:
             raise ValueError(f"a {m}-tap window is longer than the axis of {n} samples")
         first = np.arange(0, n - m + 1, step)
+    elif pad == "full":
+        first = np.arange(0, n + m - 1, step) - (m - 1)
     elif pad in ("zeros", "replicate"):
         first = np.arange(0, n, step) - (m - 1) // 2
     else:
-        raise ValueError(f"pad must be valid, zeros or replicate, got {pad!r}")
+        raise ValueError(f"pad must be valid, full, zeros or replicate, got {pad!r}")
     n_out = len(first)  # first[i]: the sample output i's first tap reads
     size = max(_TILE // step, m)
     if size >= n_out:
@@ -233,9 +237,10 @@ def correlate1d(a: np.ndarray, k: np.ndarray, axis: int = -1, pad: str = "valid"
     """1-D cross-correlation of a with the taps k along axis, one of a's last
     two (leading axes are a stack), as the band product above:
     out[i] = sum_d k[d] a[i * step + d - lo] with lo = 0 for pad "valid" (the
-    window fits whole) and (m - 1) // 2 for "zeros" and "replicate" (same
-    size before the stride; samples outside the axis are zeros or copies of
-    the edge sample)."""
+    window fits whole), m - 1 for "full" (the window overlaps the axis;
+    samples outside it are zeros) and (m - 1) // 2 for "zeros" and
+    "replicate" (same size before the stride; samples outside the axis are
+    zeros or copies of the edge sample)."""
     axis %= a.ndim
     if axis < a.ndim - 2:
         raise ValueError(f"axis {axis} of a {a.ndim}-D array: correlate1d filters the last two")

@@ -19,8 +19,9 @@ and locked by tests so numbers are comparable run-to-run):
   SCD     corr(f - b, a) + corr(f - a, b); zero-variance correlations are 0.
   CC      mean of corr(f, a) and corr(f, b).
   Qcb     contrast-sensitivity weighted preservation: DoG CSF in the
-          frequency domain, band-pass contrast (sigma 2 over sigma 32 local
-          means), saturation masking t|C|^p / (h|C|^q + Z) with
+          frequency domain (the real-input DFT on the power-of-two padded
+          grid, 30 pixels per degree), band-pass contrast (sigma 2 over
+          sigma 32 local means), saturation masking t|C|^p / (h|C|^q + Z) with
           t = h = 1, p = 3, q = 2, Z = 1e-4, saliency weights from squared
           masked contrast, preservation = min/max contrast ratio.
 
@@ -28,10 +29,10 @@ Every window above is a Gaussian, which is separable: SSIM and VIF filter
 with the normalized 1-D window through image.separable_filter: one
 band-matrix product down the rows and one along them, in row tiles of 32
 outputs (see the image module for the geometry rule), and the Qcb local
-means use the image module's blur, the same product with replicate padding. VIF's downsample keeps the
-even rows of its same-mode band. The conventions listed (sizes, sigmas,
-valid or same mode, zero padding) hold as stated; only the order of the sums
-differs from a 2-D window.
+means use the image module's blur, the same product with replicate padding.
+VIF's downsample keeps the even rows of its same-mode band. The conventions
+listed (sizes, sigmas, valid or same mode, zero padding) hold as stated; only
+the order of the sums differs from a 2-D window.
 
 report filters each image once. The fused image's SSIM moments (ssim_moments)
 and VIF pyramid (vif_scales) do not depend on the source it is compared with,
@@ -269,11 +270,12 @@ def scd_cc(f, a, b) -> tuple:
 
 @functools.lru_cache(maxsize=4)
 def _csf_response(shape: tuple) -> np.ndarray:
-    """Difference-of-Gaussians contrast sensitivity on the padded frequency
-    grid of an image of this shape; built once per shape and read-only."""
+    """Difference-of-Gaussians contrast sensitivity on the half-spectrum grid
+    of the real-input DFT (columns 0 .. wp // 2 of the padded hp x wp grid)
+    of an image of this shape; built once per shape and read-only."""
     hp, wp = next_pow2(shape[0]), next_pow2(shape[1])
     fy = np.fft.fftfreq(hp) * hp / 30.0  # 30 pixels per degree
-    fx = np.fft.fftfreq(wp) * wp / 30.0
+    fx = np.fft.rfftfreq(wp) * wp / 30.0
     r = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)
     f0, f1, aa = 15.3870, 1.3456, 0.7622
     sd = np.exp(-((r / f0) ** 2)) - aa * np.exp(-((r / f1) ** 2))
@@ -282,14 +284,17 @@ def _csf_response(shape: tuple) -> np.ndarray:
 
 
 def _csf_filter(a: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """a filtered by the frequency response sd (_csf_response(a.shape))."""
+    """a filtered by the frequency response sd (_csf_response(a.shape)) on
+    the real-input DFT: sd depends on |frequency| alone, so it keeps the
+    spectrum Hermitian and the filtered image is real."""
     h, w = a.shape
-    spec = _fft2_raw(_pad_pow2(a), inverse=False)
-    hp, wp = spec.shape
+    padded = _pad_pow2(a)
+    hp, wp = padded.shape
+    spec = _fft2_raw(padded, inverse=False, real_width=wp)
     spec *= sd
-    out = _fft2_raw(spec, inverse=True)
+    out = _fft2_raw(spec, inverse=True, real_width=wp)[:h, :w]
     out /= hp * wp
-    return out.real[:h, :w]
+    return out
 
 
 def _masked_contrast(a: np.ndarray, sd: np.ndarray) -> np.ndarray:

@@ -720,3 +720,55 @@ def test_transposed_conv2d_rejects_a_3d_operand():
                                          r"got shapes \(1, 2, 2\) and \(1, 1, 3, 3\)"):
         ad.transposed_conv2d(ad.leaf(np.ones((1, 2, 2))), ad.leaf(np.ones((1, 1, 3, 3))),
                              2, 1, (4, 4))
+
+
+# -- band_filter: a fixed separable window as band products -----------------------------------
+
+BAND_CASES = {
+    # rows and columns filtered with different taps
+    "distinct taps": ((5, 7), 3, 4),
+    # each window as long as its axis: one output row, then one output column
+    "rows-long window": ((4, 6), 4, 2),
+    "columns-long window": ((5, 3), 2, 3),
+    "stack": ((2, 1, 6, 5), 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", BAND_CASES.values(), ids=BAND_CASES.keys())
+def test_band_filter_matches_finite_differences(case):
+    shape, mr, mc = case
+    rng = np.random.default_rng(mr * 10 + mc)
+    x, kr, kc = rng.standard_normal(shape), rng.standard_normal(mr), rng.standard_normal(mc)
+    weights = rng.standard_normal(ad.band_filter(x, kr, kc).shape)
+
+    def fn(n):
+        y = ad.band_filter(n["x"], kr, kc)
+        return ad.reduce_sum(y * y * weights)
+
+    rep = ad.check_gradients(fn, {"x": x})
+    assert rep.ok, str(rep)
+    assert rep.inputs["x"]["checked"] == x.size
+
+
+@pytest.mark.parametrize("shape, mr, mc", [((3, 5, 40, 70), 11, 11), ((1, 37, 33), 5, 3),
+                                           ((9, 1), 9, 1)])
+def test_band_filter_forward_is_two_correlate1d_passes_and_its_vjp_the_adjoint(shape, mr, mc):
+    from flowfuse.image import correlate1d
+
+    rng = np.random.default_rng(sum(shape))
+    x, kr, kc = rng.standard_normal(shape), rng.standard_normal(mr), rng.standard_normal(mc)
+    node = ad.band_filter(ad.leaf(x), kr, kc)
+    assert np.array_equal(node.value, correlate1d(correlate1d(x, kr, -2), kc, -1))
+    # linear in x: <filter(x), g> = <x, vjp(g)>, over tiled axes of up to 70 samples
+    g = rng.standard_normal(node.shape)
+    (dx,) = node.vjp(g)
+    assert dx.shape == x.shape
+    scale = np.abs(node.value).sum() * np.abs(g).max()
+    assert abs(np.vdot(node.value, g) - np.vdot(x, dx)) <= 1e-12 * scale
+
+
+def test_band_filter_rejects_an_input_smaller_than_the_window():
+    with pytest.raises(ValueError, match="smaller than the kernel 3x3"):
+        ad.band_filter(np.zeros((2, 5)), np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="smaller than the kernel 1x6"):
+        ad.band_filter(np.zeros((2, 5)), np.ones(1), np.ones(6))

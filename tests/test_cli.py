@@ -186,6 +186,25 @@ def test_eval_pairs_pnm_triples(workspace, tmp_path, capsys):
     assert len((evout / "metrics.csv").read_text().splitlines()) == 1 + 1 + 1
 
 
+def test_eval_strips_only_the_trailing_fused_suffix(workspace, tmp_path, capsys):
+    # x_fused_y_fused.png is the fused image of the sources x_fused_y.png
+    root, _, _ = workspace
+    from flowfuse.imgio import load_image, save_image
+
+    dirs = {k: tmp_path / k for k in ("fused", "A", "B")}
+    for d in dirs.values():
+        d.mkdir()
+    save_image(dirs["fused"] / "x_fused_y_fused.png", load_image(root / "data" / "A" / "0000.png"))
+    for side in ("A", "B"):
+        save_image(dirs[side] / "x_fused_y.png", load_image(root / "data" / side / "0000.png"))
+    evout = tmp_path / "ev"
+    assert main(["--out", str(evout), "eval", "--fused", str(dirs["fused"]),
+                 "--src-a", str(dirs["A"]), "--src-b", str(dirs["B"])]) == 0
+    assert "without counterparts" not in capsys.readouterr().err
+    rows = (evout / "metrics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 1 + 1 and rows[1].startswith("x_fused_y_fused,")
+
+
 def test_eval_misaligned_triple_names_the_files_and_sizes(workspace, tmp_path):
     import re
 

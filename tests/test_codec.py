@@ -442,8 +442,8 @@ def _old_stage1_step(p, batch, w, lr):
 def _old_stage2_step(p, pairs, w, lr):
     """Stage two as one graph per pair, summed and divided by n."""
     from flowfuse import autodiff as ad
-    from flowfuse.codec import (_SOBEL_X, _const_getter, _decode_nodes, _encode_nodes,
-                                _leaf_getter, _sobel_pair)
+    from flowfuse.codec import (_const_getter, _decode_nodes, _encode_nodes, _leaf_getter,
+                                _sobel_pair)
     from flowfuse.guidance import saliency_weights
     from flowfuse.optim import adam_step
 
@@ -456,7 +456,7 @@ def _old_stage2_step(p, pairs, w, lr):
         f = _decode_nodes(get_d, p, _encode_nodes(get_e, p, v4))
         gxf, gyf = _sobel_pair(f)
         tx, ty = (ad.constant(np.maximum(_old_sobel_abs(i2, k), _old_sobel_abs(v2, k))[None, None])
-                  for k in (_SOBEL_X, _SOBEL_X.T))
+                  for k in (SOBEL_X, SOBEL_Y))
         wm = saliency_weights(i2, v2)
         blend = np.clip(wm.w_v * v2 + wm.w_ir * i2, 0.0, 1.0)
         terms = {
@@ -586,6 +586,20 @@ def test_ssim_term_shares_the_fused_moments_with_the_same_value():
     for k, g in grads.items():
         # the shared moments sum their two adjoints before one filter pass
         assert np.abs(g - want_grads[k]).max() <= 1e-12 * np.abs(want_grads[k]).max(), k
+
+
+def test_ssim_means_are_the_metric_filter_bit_for_bit():
+    from flowfuse import autodiff as ad
+    from flowfuse.codec import _ssim_moments
+    from flowfuse.image import separable_filter
+    from flowfuse.metrics import SSIM_WINDOW, ssim_moments
+
+    x4 = np.stack(textures(3, 44, 29))[:, None]  # 34 outputs a side: two row tiles
+    mu, sq = (m.value for m in _ssim_moments(ad.constant(x4)))
+    assert np.array_equal(mu, separable_filter(x4, SSIM_WINDOW))
+    assert np.array_equal(sq, separable_filter(x4 * x4, SSIM_WINDOW))
+    for img, m in zip(x4[:, 0], mu[:, 0]):
+        assert np.array_equal(m, ssim_moments(img)[0])
 
 
 def test_stage2_backward_calls_no_vjp_of_the_frozen_encoder(monkeypatch):

@@ -283,6 +283,33 @@ class TestQcb:
             assert 0.0 <= q <= 1.0
 
 
+def _complex_csf_filter(a):
+    """Qcb's CSF on the complex DFT of the padded image, over the full
+    frequency grid: the oracle of the real-input filter."""
+    h, w = a.shape
+    hp, wp = (1 << (n - 1).bit_length() for n in (h, w))
+    fy, fx = np.fft.fftfreq(hp) * hp / 30.0, np.fft.fftfreq(wp) * wp / 30.0
+    r = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)
+    sd = np.exp(-((r / 15.3870) ** 2)) - 0.7622 * np.exp(-((r / 1.3456) ** 2))
+    padded = np.zeros((hp, wp), dtype=np.complex128)
+    padded[:h, :w] = a
+    return (np.fft.ifft2(np.fft.fft2(padded) * sd).real)[:h, :w]
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (37, 52), (52, 37), (1, 9), (9, 1), (200, 300)])
+def test_real_input_csf_filter_matches_the_complex_formula(shape):
+    from flowfuse.metrics import _csf_filter, _csf_response
+
+    a = textured(shape, sum(shape)) * 255.0
+    sd = _csf_response(shape)
+    want = _complex_csf_filter(a)
+    got = _csf_filter(a, sd)
+    assert got.shape == shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError, match="read-only"):
+        sd[0, 0] = 0.0
+
+
 class TestReport:
     def test_identical_triple_closed_relations(self):
         x = textured(16, 23)
