@@ -9,7 +9,7 @@ overshooting (the dt -> 0 limit is the plain continuous-time field).
 
 The target is rebuilt at every step, though the weighted target depends only
 on the sources. Building its weight maps once per euler_sample call keeps
-every bit and makes a 20-step stop-grad fuse at 128 px 18-22% faster (p50, 4
+every bit and makes a 20-step stop-grad fuse at 128 px 19-22% faster (p50, 4
 of 4 benchmark pairs), but it moves a saliency pass into every call, which a
 one-step sample pays whole. At the sampler-cost acceptance check's dim 1024
 (A9: one-step time under 1/50 of the 100-step time), a warm step then costs
