@@ -75,11 +75,8 @@ def _unpack_paramset(path, prefix: str, tensors: dict, shapes: dict, moments: bo
 
 
 def save_codec_checkpoint(path, codec) -> None:
-    tensors = {
-        "codec.meta": np.array(
-            [codec.in_channels, *codec.hidden, codec.latent_channels, codec.alpha]
-        )
-    }
+    # the first slot is the input channel count: always 1, as the codec maps luma
+    tensors = {"codec.meta": np.array([1, *codec.hidden, codec.latent_channels, codec.alpha])}
     _pack_paramset("codec.enc", codec.encoder, tensors)
     _pack_paramset("codec.dec", codec.decoder, tensors)
     save_checkpoint(path, tensors)
@@ -110,11 +107,14 @@ def load_codec_checkpoint(path):
     if "codec.meta" not in tensors:
         raise ValueError(f"{path}: not a codec checkpoint")
     in_ch, c1, c2, latent, alpha = _meta(path, tensors, "codec.meta", 5, slope=True)
-    enc_shapes, dec_shapes = param_shapes(in_ch, (c1, c2), latent)
+    if in_ch != 1:
+        raise ValueError(f"{path}: tensor codec.meta holds {in_ch} input channels, expected 1: "
+                         "the codec maps luma alone")
+    enc_shapes, dec_shapes = param_shapes((c1, c2), latent)
     return CodecParams(
         _unpack_paramset(path, "codec.enc", tensors, enc_shapes),
         _unpack_paramset(path, "codec.dec", tensors, dec_shapes),
-        in_ch, (c1, c2), latent, alpha,
+        (c1, c2), latent, alpha,
     )
 
 

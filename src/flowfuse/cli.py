@@ -24,9 +24,9 @@ from .codec import CodecParams, LossWeights, decode, encode, stage1_step, stage2
 from .config import Config, parse_config
 from .flow import SampleSchedule, VelocityModel, euler_sample, rf_loss
 from .guidance import GuidanceSpec
-from .image import Image, luma, rgb_ycbcr
-from .imgio import load_image, save_image
-from .metrics import MetricsReport, report
+from .image import Image, luma, rgb_to_ycbcr, ycbcr_to_rgb
+from .imgio import IMAGE_SUFFIXES, load_image, save_image
+from .metrics import COLUMNS, MetricsReport, report
 from .optim import adam_step
 from .synth import generate
 from . import metrics as _metrics
@@ -48,7 +48,6 @@ def loss_weights(cfg: Config) -> LossWeights:
         intensity=cfg["codec.lambda_int"],
         ssim=cfg["codec.lambda_ssim"],
         grad=cfg["codec.lambda_grad"],
-        color=cfg["codec.lambda_color"],
         mask=cfg["codec.lambda_mask"],
     )
 
@@ -63,21 +62,25 @@ def toy2d_batch(rng, n: int) -> np.ndarray:
     return TOY2D_MODES[pick] + TOY2D_SIGMA * rng.standard_normal((n, 2))
 
 
-_IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".pnm")
-
-
 def _list_images(d: Path) -> list:
-    return sorted(p for p in Path(d).iterdir() if p.suffix.lower() in _IMAGE_SUFFIXES)
+    return sorted(p for p in Path(d).iterdir() if p.suffix.lower() in IMAGE_SUFFIXES)
+
+
+def _by_stem(d: Path) -> dict:
+    """The image files in d by stem, the key that pairs an A/ file with its
+    B/ counterpart whatever their formats; of two files with one stem, the
+    first in IMAGE_SUFFIXES order."""
+    files = {}
+    for p in sorted(_list_images(d), key=lambda p: IMAGE_SUFFIXES.index(p.suffix.lower())):
+        files.setdefault(p.stem, p)
+    return files
 
 
 def _pair_lumas(data_dir: Path) -> list:
     """Matched (a, b) luma arrays from DATA/A and DATA/B."""
-    a_dir, b_dir = Path(data_dir) / "A", Path(data_dir) / "B"
-    pairs = []
-    for pa in _list_images(a_dir):
-        pb = b_dir / pa.name
-        if pb.exists():
-            pairs.append((luma(load_image(pa)), luma(load_image(pb))))
+    b_files = _by_stem(Path(data_dir) / "B")
+    pairs = [(luma(load_image(pa)), luma(load_image(b_files[pa.stem])))
+             for pa in _list_images(Path(data_dir) / "A") if pa.stem in b_files]
     if not pairs:
         raise FileNotFoundError(f"no matched A/B image pairs under {data_dir}")
     return pairs
@@ -196,7 +199,7 @@ def train_codec2(cfg: Config, outdir: Path, codec_path, echo=print) -> Path:
         batch = [pairs[j] for j in rng.integers(0, len(pairs), cfg["codec.batch"])]
         return stage2_step(p, batch, w, lr=cfg["codec.lr"])
 
-    ckpt = _train(outdir, "codec2", ["intensity", "ssim", "grad", "color", "mask", "total"],
+    ckpt = _train(outdir, "codec2", ["intensity", "ssim", "grad", "mask", "total"],
                   cfg["codec.train_steps"], step,
                   load_codec_checkpoint(codec_path).with_freeze("encoder"), save_codec_checkpoint)
     echo(f"stage-two codec -> {ckpt}")
@@ -244,10 +247,9 @@ def fuse_images(img_a: Image, img_b: Image, codec: CodecParams, model: VelocityM
     timings["decode_s"] = time.perf_counter() - t0
     visible = img_b if seed_side == "b" else img_a
     if visible.channels == 3:
-        ycc = visible if visible.space == "ycbcr" else rgb_ycbcr(visible, "forward")
-        mixed = ycc.pixels.copy()
-        mixed[:, :, 0] = fused_y.pixels
-        fused = rgb_ycbcr(Image(mixed, "ycbcr"), "inverse")
+        ycc = rgb_to_ycbcr(visible.pixels)
+        ycc[:, :, 0] = fused_y.pixels
+        fused = Image(ycbcr_to_rgb(ycc))
     else:
         fused = fused_y
     return fused, timings, traj
@@ -322,13 +324,11 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     out = _outdir(args, cfg)
     fused_dir, a_dir, b_dir = Path(args.fused), Path(args.src_a), Path(args.src_b)
+    a_files, b_files = _by_stem(a_dir), _by_stem(b_dir)
     rows, missing = [], []
     for pf in _list_images(fused_dir):
         stem = pf.stem.removesuffix("_fused")
-        pa = next((a_dir / f"{stem}{ext}" for ext in _IMAGE_SUFFIXES
-                   if (a_dir / f"{stem}{ext}").exists()), None)
-        pb = next((b_dir / f"{stem}{ext}" for ext in _IMAGE_SUFFIXES
-                   if (b_dir / f"{stem}{ext}").exists()), None)
+        pa, pb = a_files.get(stem), b_files.get(stem)
         if pa is None or pb is None:
             missing.append(pf.name)
             continue
@@ -349,8 +349,7 @@ def cmd_eval(args) -> int:
         fh.write(MetricsReport.csv_header() + "\n")
         for name, rep in rows:
             fh.write(rep.csv_row(name) + "\n")
-        mean = {c: float(np.mean([getattr(r, c) for _, r in rows]))
-                for c in ("en", "mi", "sf", "ag", "ssim", "psnr", "vif", "scd", "cc", "qcb")}
+        mean = {c: float(np.mean([getattr(r, c) for _, r in rows])) for c in COLUMNS}
         mean_rep = MetricsReport(per_source={}, **mean)
         fh.write(mean_rep.csv_row("mean") + "\n")
     (out / "metrics.json").write_text(

@@ -37,7 +37,6 @@ class LossWeights:
     intensity: float = 1.0
     ssim: float = 1.0
     grad: float = 1.0
-    color: float = 0.5  # no term reads it: training runs on luma alone
     mask: float = 1.0
 
     def __post_init__(self):
@@ -47,39 +46,38 @@ class LossWeights:
                 raise ValueError(f"loss weight {f.name} must be finite and >= 0, got {v}")
 
 
-def param_shapes(in_channels, hidden, latent_channels):
-    """(encoder, decoder) parameter shapes, name -> shape, in parameter order."""
+def param_shapes(hidden, latent_channels):
+    """(encoder, decoder) parameter shapes, name -> shape, in parameter order.
+    The codec maps one channel, luma, to the latent and back."""
     c1, c2 = hidden
     k = (_K, _K)
-    enc = {"w0": (c1, in_channels, *k), "b0": (c1, 1, 1),
+    enc = {"w0": (c1, 1, *k), "b0": (c1, 1, 1),
            "w1": (c2, c1, *k), "b1": (c2, 1, 1),
            "w2": (latent_channels, c2, *k), "b2": (latent_channels, 1, 1)}
     dec = {"w0": (c2, latent_channels, *k), "b0": (c2, 1, 1),
            "w1": (c2, c1, *k), "b1": (c1, 1, 1),
-           "w2": (c1, in_channels, *k), "b2": (in_channels, 1, 1)}
+           "w2": (c1, 1, *k), "b2": (1, 1, 1)}
     return enc, dec
 
 
 class CodecParams:
     """Encoder/decoder parameter sets plus architecture and freeze state."""
 
-    def __init__(self, encoder: ParamSet, decoder: ParamSet, in_channels=1,
-                 hidden=(32, 64), latent_channels=4, alpha=0.2, freeze="none"):
+    def __init__(self, encoder: ParamSet, decoder: ParamSet, hidden=(32, 64),
+                 latent_channels=4, alpha=0.2, freeze="none"):
         if freeze not in ("none", "encoder"):
             raise ValueError(f"freeze must be none or encoder, got {freeze!r}")
         self.encoder = encoder
         self.decoder = decoder
-        self.in_channels = int(in_channels)
         self.hidden = tuple(int(h) for h in hidden)
         self.latent_channels = int(latent_channels)
         self.alpha = ad.check_slope(alpha, "leaky slope alpha")
         self.freeze = freeze
 
     @staticmethod
-    def initialize(in_channels=1, hidden=(32, 64), latent_channels=4, alpha=0.2,
-                   seed=0) -> "CodecParams":
+    def initialize(hidden=(32, 64), latent_channels=4, alpha=0.2, seed=0) -> "CodecParams":
         rng = np.random.default_rng(seed)
-        enc_shapes, dec_shapes = param_shapes(in_channels, hidden, latent_channels)
+        enc_shapes, dec_shapes = param_shapes(hidden, latent_channels)
 
         def he(shape, fan_in):
             return rng.standard_normal(shape) * np.sqrt(2.0 / (fan_in * _K * _K))
@@ -91,12 +89,11 @@ class CodecParams:
                for k, s in dec_shapes.items()}
         # mid-range output at init so the clamp does not start saturated
         dec["b2"] = np.full(dec_shapes["b2"], 0.5)
-        return CodecParams(ParamSet(enc), ParamSet(dec), in_channels, hidden, latent_channels,
-                           alpha)
+        return CodecParams(ParamSet(enc), ParamSet(dec), hidden, latent_channels, alpha)
 
     def with_freeze(self, freeze: str) -> "CodecParams":
-        return CodecParams(self.encoder, self.decoder, self.in_channels, self.hidden,
-                           self.latent_channels, self.alpha, freeze)
+        return CodecParams(self.encoder, self.decoder, self.hidden, self.latent_channels,
+                           self.alpha, freeze)
 
 
 # -- forward graphs ------------------------------------------------------------------
@@ -296,8 +293,8 @@ def _update(p: CodecParams, total: ad.Node, losses: dict, stage: str, enc_leaves
             return pset
         return adam_step(pset, {k: grads[nd] for k, nd in leaves.items()}, lr, beta1, beta2)
 
-    return CodecParams(adam(p.encoder, enc_leaves), adam(p.decoder, dec_leaves), p.in_channels,
-                       p.hidden, p.latent_channels, p.alpha, p.freeze), losses
+    return CodecParams(adam(p.encoder, enc_leaves), adam(p.decoder, dec_leaves), p.hidden,
+                       p.latent_channels, p.alpha, p.freeze), losses
 
 
 def stage1_step(p: CodecParams, batch, w: LossWeights, lr=1e-3, beta1=0.9, beta2=0.999):
@@ -360,7 +357,6 @@ def stage2_step(p: CodecParams, pairs, w: LossWeights, lr=1e-3, beta1=0.9, beta2
             losses[name] += float(node.value) * share
         total_parts.append((_weighted_sum((node, getattr(w, name))
                                           for name, node in terms.items()), share))
-    losses["color"] = 0.0  # luma-only training path
     # no encoder leaves: the frozen encoder is carried over, bit-identical
     return _update(p, _weighted_sum(total_parts), losses, "stage-two", {}, dec_leaves,
                    lr, beta1, beta2)

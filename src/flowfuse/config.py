@@ -66,6 +66,7 @@ SCHEMA = {
     "codec.lambda_int": (float, 1.0, _WEIGHT),
     "codec.lambda_ssim": (float, 1.0, _WEIGHT),
     "codec.lambda_grad": (float, 1.0, _WEIGHT),
+    # weighs no term (luma-only); kept: perfbench's train-32 config sets it, unknown keys fail
     "codec.lambda_color": (float, 0.5, _WEIGHT),
     "codec.lambda_mask": (float, 1.0, _WEIGHT),
     "codec.train_steps": (int, 500, _COUNT),

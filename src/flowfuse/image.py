@@ -5,8 +5,9 @@ cached band-matrix product, row-tiled (every window here is separable, so a
 2-D filter is Mh @ a @ Mw.T), BT.601 color conversion.
 
 Pixel values live in [0, 1] float64 everywhere; 8-bit I/O converts by /255
-and round(*255) at the file boundary (see imgio). Color images carry an
-explicit color-space tag.
+and round(*255) at the file boundary (see imgio). An image is gray or RGB by
+its shape alone: color enters at file load, everything between works on luma,
+and fusion re-attaches the visible image's chroma at the end.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-GRAY = "gray"
-RGB = "rgb"
-YCBCR = "ycbcr"
 
 # ITU-R BT.601 full-range luma/chroma matrix (rows: Y, Cb, Cr).
 _FWD = np.array(
@@ -32,27 +29,19 @@ _CHROMA_OFFSET = np.array([0.0, 0.5, 0.5])
 
 
 class Image:
-    """H x W (gray) or H x W x 3 (color) pixels in [0, 1], clamped on entry."""
+    """H x W (gray) or H x W x 3 (RGB) pixels in [0, 1], clamped on entry."""
 
-    __slots__ = ("pixels", "space")
+    __slots__ = ("pixels",)
 
-    def __init__(self, pixels, space=None):
+    def __init__(self, pixels):
         arr = np.asarray(pixels, dtype=np.float64)
-        if arr.ndim == 2:
-            space = GRAY if space is None else space
-            if space != GRAY:
-                raise ValueError("2-D pixel array must be gray")
-        elif arr.ndim == 3 and arr.shape[2] == 3:
-            if space not in (RGB, YCBCR):
-                raise ValueError("color image needs an explicit space tag (rgb or ycbcr)")
-        else:
+        if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError(f"bad pixel array shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("empty image")
         if not np.all(np.isfinite(arr)):
             raise ValueError("image contains non-finite values")
         self.pixels = np.clip(arr, 0.0, 1.0)
-        self.space = space
 
     @property
     def height(self):
@@ -67,7 +56,7 @@ class Image:
         return 1 if self.pixels.ndim == 2 else 3
 
     def __repr__(self):
-        return f"Image({self.height}x{self.width}, {self.space})"
+        return f"Image({self.height}x{self.width}x{self.channels})"
 
 
 def as_gray(img) -> np.ndarray:
@@ -83,11 +72,9 @@ def as_gray(img) -> np.ndarray:
 
 
 def luma(img) -> np.ndarray:
-    """Y channel of a color image, or the gray pixels themselves."""
+    """Y channel of an RGB image, or the gray pixels themselves."""
     if isinstance(img, Image) and img.channels == 3:
-        if img.space == YCBCR:
-            return img.pixels[:, :, 0]
-        return rgb_ycbcr(img, "forward").pixels[:, :, 0]
+        return rgb_to_ycbcr(img.pixels)[:, :, 0]
     return as_gray(img)
 
 
@@ -283,18 +270,14 @@ def gaussian_blur(img, sigma: float) -> np.ndarray:
 
 # -- color conversion ------------------------------------------------------------
 
-def rgb_ycbcr(img: Image, direction: str) -> Image:
-    """BT.601 full-range RGB <-> YCbCr conversion for 3-channel images."""
-    if not isinstance(img, Image) or img.channels != 3:
-        raise ValueError("rgb_ycbcr requires a 3-channel image")
-    if direction == "forward":
-        if img.space != RGB:
-            raise ValueError(f"forward conversion expects rgb, got {img.space}")
-        out = img.pixels @ _FWD.T + _CHROMA_OFFSET
-        return Image(out, YCBCR)
-    if direction == "inverse":
-        if img.space != YCBCR:
-            raise ValueError(f"inverse conversion expects ycbcr, got {img.space}")
-        out = (img.pixels - _CHROMA_OFFSET) @ _INV.T
-        return Image(out, RGB)
-    raise ValueError(f"direction must be forward or inverse, got {direction!r}")
+# Both directions clamp to [0, 1], as Image does, and keep the full 3 x 3
+# product: luma and fusion's chroma re-attachment read one conversion.
+
+def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
+    """BT.601 full-range YCbCr of an (H, W, 3) RGB array."""
+    return np.clip(rgb @ _FWD.T + _CHROMA_OFFSET, 0.0, 1.0)
+
+
+def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
+    """RGB of an (H, W, 3) BT.601 full-range YCbCr array."""
+    return np.clip((ycc - _CHROMA_OFFSET) @ _INV.T, 0.0, 1.0)

@@ -14,20 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import RGB, Image
+from .image import Image
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
+IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".pnm")  # the files load_image and save_image take
 
 
 def to_bytes_u8(img: Image) -> np.ndarray:
     return np.round(img.pixels * 255.0).astype(np.uint8)
 
 
-def from_bytes_u8(arr: np.ndarray, space=None) -> Image:
-    a = arr.astype(np.float64) / 255.0
-    if a.ndim == 3 and space is None:
-        space = RGB
-    return Image(a, space)
+def from_bytes_u8(arr: np.ndarray) -> Image:
+    return Image(arr.astype(np.float64) / 255.0)
 
 
 # -- PNG ------------------------------------------------------------------------
@@ -42,8 +40,6 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
 
 
 def write_png(path, img: Image) -> None:
-    if img.channels == 3 and img.space != RGB:
-        raise ValueError("PNG writer expects rgb color images")
     data = to_bytes_u8(img)
     h, w = data.shape[:2]
     color_type = 0 if data.ndim == 2 else 2
@@ -165,9 +161,7 @@ def read_png(path) -> Image:
             f"with {nch} channel(s) needs {size}"
         )
     data = _unfilter(raw, h, w, nch, path)
-    if nch == 1:
-        return from_bytes_u8(data.reshape(h, w))
-    return from_bytes_u8(data.reshape(h, w, 3), RGB)
+    return from_bytes_u8(data.reshape((h, w) if nch == 1 else (h, w, 3)))
 
 
 # -- PGM / PPM --------------------------------------------------------------------
@@ -210,29 +204,22 @@ def read_pnm(path) -> Image:
         raise ValueError(f"{path}: payload holds {max(len(blob) - pos, 0)} bytes, but "
                          f"{w}x{h} with {nch} channel(s) needs {h * w * nch}")
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w * nch, offset=pos)
-    if nch == 1:
-        return from_bytes_u8(data.reshape(h, w).copy())
-    return from_bytes_u8(data.reshape(h, w, 3).copy(), RGB)
+    return from_bytes_u8(data.reshape((h, w) if nch == 1 else (h, w, 3)))
 
 
 # -- dispatch ----------------------------------------------------------------------
 
-def load_image(path) -> Image:
+def _suffix(path) -> str:
     suffix = Path(path).suffix.lower()
-    if suffix == ".png":
-        return read_png(path)
-    if suffix in (".pgm", ".ppm", ".pnm"):
-        return read_pnm(path)
-    raise ValueError(f"unsupported image format {suffix!r} (png/pgm/ppm)")
+    if suffix not in IMAGE_SUFFIXES:
+        raise ValueError(f"unsupported image format {suffix!r} (png/pgm/ppm)")
+    return suffix
+
+
+def load_image(path) -> Image:
+    return read_png(path) if _suffix(path) == ".png" else read_pnm(path)
 
 
 def save_image(path, img) -> None:
-    if not isinstance(img, Image):
-        img = Image(np.asarray(img)) if np.asarray(img).ndim == 2 else Image(np.asarray(img), RGB)
-    suffix = Path(path).suffix.lower()
-    if suffix == ".png":
-        write_png(path, img)
-    elif suffix in (".pgm", ".ppm", ".pnm"):
-        write_pnm(path, img)
-    else:
-        raise ValueError(f"unsupported image format {suffix!r} (png/pgm/ppm)")
+    img = img if isinstance(img, Image) else Image(img)
+    (write_png if _suffix(path) == ".png" else write_pnm)(path, img)

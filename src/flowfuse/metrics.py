@@ -38,6 +38,7 @@ report filters each image once. The fused image's SSIM moments (ssim_moments)
 and VIF pyramid (vif_scales) do not depend on the source it is compared with,
 so report builds them once and passes them to both sources' calls through
 ssim_psnr's f_moments and vif_pair's dist_scales; a call only reads them.
+Its correlation with each source is formed once, for scd_cc's corrs and per_source.
 Called without them, each function computes its own, with the same bits.
 Variances are E[x^2] - mu^2, formed in place.
 """
@@ -54,7 +55,8 @@ from .fft import _fft2_raw, _pad_pow2, next_pow2
 from .image import (as_gray, bins256, check_unit_range, gaussian_blur, gaussian_window1d,
                     histogram256, separable_filter)
 
-_COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
+# the report's fields, in the order of metrics.csv's columns
+COLUMNS = ("en", "mi", "sf", "vif", "ssim", "ag", "scd", "psnr", "cc", "qcb")
 
 
 # -- histogram metrics ---------------------------------------------------------------
@@ -255,14 +257,18 @@ def _corr(x: np.ndarray, y: np.ndarray) -> float:
     return float((xd * yd).sum() / den)
 
 
-def scd_cc(f, a, b) -> tuple:
-    """(sum of correlations of differences, mean correlation coefficient)."""
+def scd_cc(f, a, b, corrs=None) -> tuple:
+    """(sum of correlations of differences, mean correlation coefficient).
+
+    corrs, if given, is the caller's (_corr(f, a), _corr(f, b)), which the
+    mean is taken over; without it the two are computed here.
+    """
     fa, aa, ba = as_gray(f), as_gray(a), as_gray(b)
     if not (fa.shape == aa.shape == ba.shape):
         raise ValueError("aligned triple required")
     scd = _corr(fa - ba, aa) + _corr(fa - aa, ba)
-    cc = 0.5 * (_corr(fa, aa) + _corr(fa, ba))
-    return float(scd), float(cc)
+    cc_a, cc_b = corrs if corrs is not None else (_corr(fa, aa), _corr(fa, ba))
+    return float(scd), float(0.5 * (cc_a + cc_b))
 
 
 # -- Qcb --------------------------------------------------------------------------------
@@ -362,7 +368,7 @@ class MetricsReport:
     per_source: dict
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in _COLUMNS}
+        d = {k: getattr(self, k) for k in COLUMNS}
         d["per_source"] = self.per_source
         return d
 
@@ -371,17 +377,18 @@ class MetricsReport:
 
     @staticmethod
     def csv_header() -> str:
-        return ",".join(["name"] + [c.upper() if c != "qcb" else "Qcb" for c in _COLUMNS])
+        return ",".join(["name"] + [c.upper() if c != "qcb" else "Qcb" for c in COLUMNS])
 
     def csv_row(self, name: str) -> str:
-        return ",".join([name] + [f"{getattr(self, c):.6f}" for c in _COLUMNS])
+        return ",".join([name] + [f"{getattr(self, c):.6f}" for c in COLUMNS])
 
 
 def report(f, a, b) -> MetricsReport:
     """Evaluate every metric on an aligned (fused, source_a, source_b) triple.
 
     The fused image's SSIM moments and VIF scales are computed once and
-    shared by both sources' calls.
+    shared by both sources' calls, and each source's CC once for scd_cc and
+    per_source.
     """
     fa, aa, ba = as_gray(f), as_gray(a), as_gray(b)
     if not (fa.shape == aa.shape == ba.shape):
@@ -397,7 +404,8 @@ def report(f, a, b) -> MetricsReport:
     vif_a = vif_pair(aa, fa, f_scales)
     vif_b = vif_pair(ba, fa, f_scales)
     sf, ag = sf_ag(fa)
-    scd, cc = scd_cc(fa, aa, ba)
+    corrs = (_corr(fa, aa), _corr(fa, ba))
+    scd, cc = scd_cc(fa, aa, ba, corrs)
     return MetricsReport(
         en=entropy(fa),
         mi=mi_a + mi_b,
@@ -414,9 +422,6 @@ def report(f, a, b) -> MetricsReport:
             "ssim": [ssim_a, ssim_b],
             "psnr": [psnr_a, psnr_b],
             "vif": [vif_a, vif_b],
-            "cc": [
-                _corr(fa, aa),
-                _corr(fa, ba),
-            ],
+            "cc": list(corrs),
         },
     )

@@ -371,7 +371,7 @@ def test_a10_end_to_end_fusion_sanity(tmp_path):
         batch = [imgs[i] for i in rng.integers(0, len(imgs), 8)]
         p, _ = stage1_step(p, batch, LossWeights(), lr=2.5e-3)
     # stage two: decoder fine-tune, structure-weighted
-    w2 = LossWeights(intensity=0.3, ssim=2.5, grad=0.3, color=0.0, mask=1.2)
+    w2 = LossWeights(intensity=0.3, ssim=2.5, grad=0.3, mask=1.2)
     p = p.with_freeze("encoder")
     rng2 = np.random.default_rng(4)
     for _ in range(350):

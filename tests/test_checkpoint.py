@@ -196,6 +196,27 @@ def test_codec_checkpoint_tensor_fault_named(tmp_path, changes, match):
         load_codec_checkpoint(p)
 
 
+def test_codec_checkpoint_with_three_input_channels_rejected(tmp_path):
+    # a file whose tensors agree with 3 input channels: the codec maps luma
+    # alone, so the load refuses it rather than fail later inside conv2d
+    from flowfuse.checkpoint import load_codec_checkpoint, save_codec_checkpoint
+    from flowfuse.codec import CodecParams
+
+    p = tmp_path / "codec.rffz"
+    save_codec_checkpoint(p, CodecParams.initialize(hidden=(4, 6), seed=0))
+    tensors = load_checkpoint(p)
+    assert tensors["codec.meta"][0] == 1.0
+    tensors["codec.meta"][0] = 3.0
+    three = {"enc.w0": (4, 3, 3, 3), "dec.w2": (4, 3, 3, 3), "dec.b2": (3, 1, 1)}
+    for name, shape in three.items():
+        for suffix in ("", ".m", ".v"):
+            tensors[f"codec.{name}{suffix}"] = np.zeros(shape)
+    save_checkpoint(p, tensors)
+    want = r"codec\.rffz: tensor codec\.meta holds 3 input channels, expected 1"
+    with pytest.raises(ValueError, match=want):
+        load_codec_checkpoint(p)
+
+
 def test_flow_checkpoint_missing_moment_named(tmp_path):
     from flowfuse.checkpoint import load_flow_checkpoint
 

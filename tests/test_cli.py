@@ -93,7 +93,7 @@ def test_fuse_and_eval(workspace, tmp_path):
     import csv
 
     rows = list(csv.DictReader(lines))
-    for col in ("EN", "MI", "SF"):
+    for col in lines[0].split(",")[1:]:
         vals = [float(r[col]) for r in rows[:-1]]
         assert abs(float(rows[-1][col]) - np.mean(vals)) < 1e-5
 
@@ -327,6 +327,48 @@ def test_fuse_step_count_invariant_for_constant_field(workspace, tmp_path):
         cfg = parse_config(f"guidance.rho = 0\nflow.steps = {steps}\n")
         outs.append(fuse_images(img_a, img_b, codec, model, cfg)[0].pixels)
     assert np.abs(outs[0] - outs[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed_side", ["a", "b"])
+def test_fuse_images_of_equal_rgb_channels_equals_the_gray_fuse(workspace, seed_side):
+    # the pipeline fuses luma and re-attaches the visible image's chroma at the
+    # end: equal channels carry no chroma, so each channel is the gray fuse
+    root, cfgfile, run = workspace
+    from flowfuse.checkpoint import load_codec_checkpoint, load_flow_checkpoint
+    from flowfuse.cli import fuse_images
+    from flowfuse.config import parse_config
+    from flowfuse.image import Image
+    from flowfuse.imgio import load_image
+
+    gray = [load_image(root / "data" / side / "0002.png") for side in ("A", "B")]
+    rgb = [Image(np.stack([g.pixels] * 3, axis=2)) for g in gray]
+    codec = load_codec_checkpoint(run / "codec2.rffz")
+    model = load_flow_checkpoint(run / "flow.rffz")
+    cfg = parse_config(path=cfgfile)
+    want = fuse_images(*gray, codec, model, cfg, seed_side)[0].pixels
+    got = fuse_images(*rgb, codec, model, cfg, seed_side)[0].pixels
+    assert got.shape == (*want.shape, 3)
+    for c in range(3):
+        assert np.abs(got[:, :, c] - want).max() < 1e-9
+
+
+def test_fuse_writes_an_rgb_png_for_an_rgb_visible_input(workspace, tmp_path):
+    root, cfgfile, run = workspace
+    from flowfuse.image import Image
+    from flowfuse.imgio import load_image, save_image
+
+    tint = np.array([1.0, 0.8, 0.5])
+    visible = load_image(root / "data" / "B" / "0000.png").pixels[:, :, None] * tint
+    save_image(tmp_path / "0000.png", Image(visible))
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "out"), "fuse",
+                 "--input-a", str(root / "data" / "A" / "0000.png"),
+                 "--input-b", str(tmp_path / "0000.png"),
+                 "--codec", str(run / "codec2.rffz"),
+                 "--flow", str(run / "flow.rffz")]) == 0
+    fused = load_image(tmp_path / "out" / "0000_fused.png")
+    assert fused.pixels.shape == visible.shape
+    r, g, b = fused.pixels.reshape(-1, 3).mean(axis=0)
+    assert r > g > b  # the visible image's tint comes back
 
 
 def test_synth_with_a_negative_count_exits_non_zero_naming_the_key(tmp_path):

@@ -267,7 +267,7 @@ def test_training_steps_reject_colour():
     from flowfuse.image import Image
 
     gray = textures(1, 16, 16)[0]
-    colour = Image(np.stack([gray] * 3, axis=2), "rgb")
+    colour = Image(np.stack([gray] * 3, axis=2))
     p = CodecParams.initialize(hidden=(4, 4), seed=16)
     with pytest.raises(ValueError, match="gray image required"):
         stage1_step(p, [colour], LossWeights())
@@ -303,7 +303,7 @@ class TestStage2:
         i = rng.random((16, 16))
         v = np.clip(0.5 + 0.3 * np.sin(np.arange(256).reshape(16, 16) / 9.0), 0, 1)
         wm = WeightMaps(np.ones((16, 16)), np.zeros((16, 16)))
-        w = LossWeights(intensity=0, ssim=0, grad=0, color=0, mask=1)
+        w = LossWeights(intensity=0, ssim=0, grad=0, mask=1)
         dist = []
         for _ in range(60):
             p, _ = stage2_step(p, [(i, v)], w, lr=5e-3, weight_maps=wm)
@@ -435,7 +435,7 @@ def _old_stage1_step(p, batch, w, lr):
     grads = ad.backward(total, list(enc.values()) + list(dec.values()))
     new = CodecParams(adam_step(p.encoder, {k: grads[n] for k, n in enc.items()}, lr),
                       adam_step(p.decoder, {k: grads[n] for k, n in dec.items()}, lr),
-                      p.in_channels, p.hidden, p.latent_channels, p.alpha, p.freeze)
+                      p.hidden, p.latent_channels, p.alpha, p.freeze)
     return new, {"l1": float(l1.value), "fre": float(fre.value), "total": float(total.value)}
 
 
@@ -477,7 +477,7 @@ def _old_stage2_step(p, pairs, w, lr):
     losses["total"] = float(total.value)
     grads = ad.backward(total, list(dec.values()))
     new = CodecParams(p.encoder, adam_step(p.decoder, {k: grads[n] for k, n in dec.items()}, lr),
-                      p.in_channels, p.hidden, p.latent_channels, p.alpha, p.freeze)
+                      p.hidden, p.latent_channels, p.alpha, p.freeze)
     return new, losses
 
 
@@ -536,7 +536,7 @@ class TestBatchedSteps:
         p = CodecParams.initialize(hidden=(24, 48), seed=1).with_freeze("encoder")
         pairs = [tuple(img.pixels for img in synth.make_pair("ivif", 32, 1, k))
                  for k in range(4)]
-        w = LossWeights(intensity=0.3, ssim=2.5, grad=0.3, color=0, mask=1.2)
+        w = LossWeights(intensity=0.3, ssim=2.5, grad=0.3, mask=1.2)
         tracemalloc.start()
         try:
             stage2_step(p, pairs, w)

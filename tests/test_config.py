@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from flowfuse.config import ConfigError, parse_config
+from flowfuse.config import SCHEMA, ConfigError, parse_config
 
 
 def test_defaults_filled():
@@ -101,3 +103,12 @@ def test_range_edges_accepted():
     for key, val in (("guidance.rho", "-0.1"), ("codec.lambda_mask", "inf"), ("flow.lr", "0")):
         with pytest.raises(ConfigError, match=key):
             parse_config(overrides={key: val})
+
+
+def test_every_schema_key_is_used_outside_config():
+    # a key that no code names changes nothing; codec.lambda_color weighs no
+    # term but stays while perfbench's train-32 config sets it (ROADMAP item 1)
+    src = Path(__file__).resolve().parents[1] / "src" / "flowfuse"
+    code = "".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
+    unused = [k for k in SCHEMA if f'"{k}"' not in code]
+    assert unused == ["codec.lambda_color"]

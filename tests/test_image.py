@@ -9,8 +9,9 @@ from flowfuse.image import (
     gaussian_window1d,
     histogram256,
     luma,
-    rgb_ycbcr,
+    rgb_to_ycbcr,
     separable_filter,
+    ycbcr_to_rgb,
 )
 from flowfuse.metrics import SSIM_WINDOW
 
@@ -19,15 +20,18 @@ class TestImageType:
         img = Image(np.array([[-0.5, 0.5], [1.5, 1.0]]))
         assert img.pixels.min() == 0.0 and img.pixels.max() == 1.0
 
-    def test_color_space_tag_required(self):
-        with pytest.raises(ValueError, match="space tag"):
-            Image(np.zeros((2, 2, 3)))
+    def test_gray_or_rgb_by_shape_alone(self):
+        assert Image(np.zeros((2, 2))).channels == 1
+        assert Image(np.zeros((2, 2, 3))).channels == 3
+        for shape in ((2, 2, 1), (2, 2, 4), (2,), (2, 2, 3, 1)):
+            with pytest.raises(ValueError, match="bad pixel array shape"):
+                Image(np.zeros(shape))
 
     def test_shapes(self):
-        img = Image(np.zeros((3, 5, 3)), "rgb")
+        img = Image(np.zeros((3, 5, 3)))
         assert (img.height, img.width, img.channels) == (3, 5, 3)
         with pytest.raises(ValueError):
-            Image(np.zeros((2, 2, 4)), "rgb")
+            Image(np.zeros((2, 2, 4)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -197,26 +201,29 @@ class TestHistogram:
 
 class TestColorConversion:
     def test_white_and_black(self):
-        white = Image(np.ones((1, 1, 3)), "rgb")
-        y = rgb_ycbcr(white, "forward").pixels[0, 0]
+        y = rgb_to_ycbcr(np.ones((1, 1, 3)))[0, 0]
         assert np.abs(y - [1.0, 0.5, 0.5]).max() < 1e-12
-        black = Image(np.zeros((1, 1, 3)), "rgb")
-        y = rgb_ycbcr(black, "forward").pixels[0, 0]
+        y = rgb_to_ycbcr(np.zeros((1, 1, 3)))[0, 0]
         assert np.abs(y - [0.0, 0.5, 0.5]).max() < 1e-12
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(10)
-        img = Image(rng.random((6, 7, 3)), "rgb")
-        back = rgb_ycbcr(rgb_ycbcr(img, "forward"), "inverse")
-        assert np.abs(back.pixels - img.pixels).max() < 1e-9
-        assert back.space == "rgb"
+        rgb = rng.random((6, 7, 3))
+        back = ycbcr_to_rgb(rgb_to_ycbcr(rgb))
+        assert np.abs(back - rgb).max() < 1e-9
 
     def test_gray_input_rejected(self):
         with pytest.raises(ValueError):
-            rgb_ycbcr(Image(np.zeros((4, 4))), "forward")
+            rgb_to_ycbcr(np.zeros((4, 4)))
+
+    def test_both_directions_clamp_to_the_unit_range(self):
+        # as Image does; Y = 0.5 with Cb = Cr = 1 lies outside the RGB cube
+        assert rgb_to_ycbcr(np.array([[[2.0, 0.0, 0.0]]])).max() == 1.0  # Cr = 1.5
+        rgb = ycbcr_to_rgb(np.array([[[0.5, 1.0, 1.0]]]))
+        assert rgb.min() == 0.0 and rgb.max() == 1.0
 
     def test_luma_helper(self):
-        img = Image(np.full((2, 2, 3), 0.5), "rgb")
+        img = Image(np.full((2, 2, 3), 0.5))
         assert np.abs(luma(img) - 0.5).max() < 1e-12
         assert np.array_equal(luma(np.full((2, 2), 0.3)), np.full((2, 2), 0.3))
 
@@ -273,7 +280,7 @@ class TestBlur:
         with pytest.raises(ValueError, match="gray image required"):
             gaussian_blur(color, 1.0)
         with pytest.raises(ValueError, match="gray image required"):
-            gaussian_blur(Image(color, "rgb"), 1.0)
+            gaussian_blur(Image(color), 1.0)
         with pytest.raises(ValueError, match="gray image required"):  # a stack goes in a list
             gaussian_blur(rng.random((2, 8, 8)), 1.0)
         with pytest.raises(ValueError, match="gray image required"):

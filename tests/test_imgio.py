@@ -9,11 +9,11 @@ from flowfuse.image import Image
 from flowfuse.imgio import load_image, read_png, read_pnm, save_image, write_png
 
 
-def random_image(shape, seed, space=None):
+def random_image(shape, seed):
     rng = np.random.default_rng(seed)
     # quantized values so the 8-bit file round-trip is exact
     arr = rng.integers(0, 256, size=shape).astype(np.float64) / 255.0
-    return Image(arr, space)
+    return Image(arr)
 
 
 @pytest.mark.parametrize("ext", ["png", "pgm"])
@@ -28,12 +28,12 @@ def test_gray_roundtrip_bit_exact(tmp_path, ext):
 
 @pytest.mark.parametrize("ext", ["png", "ppm"])
 def test_color_roundtrip_bit_exact(tmp_path, ext):
-    img = random_image((7, 11, 3), 1, "rgb")
+    img = random_image((7, 11, 3), 1)
     p = tmp_path / f"c.{ext}"
     save_image(p, img)
     back = load_image(p)
     assert np.array_equal(back.pixels, img.pixels)
-    assert back.space == "rgb"
+    assert back.channels == 3
 
 
 def test_png_reader_handles_filtered_rows(tmp_path):
@@ -178,7 +178,7 @@ def test_any_flipped_byte_of_a_png_is_rejected(tmp_path, data):
 
 @pytest.mark.parametrize("shape", [(8, 8), (5, 6, 3)])
 def test_png_with_idat_split_over_chunks_decodes_the_same(tmp_path, shape):
-    img = random_image(shape, 5, "rgb" if len(shape) == 3 else None)
+    img = random_image(shape, 5)
     whole = tmp_path / "whole.png"
     write_png(whole, img)
     raw = np.round(img.pixels * 255).astype(np.uint8).reshape(shape[0], -1)

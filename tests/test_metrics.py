@@ -344,6 +344,21 @@ class TestReport:
             assert r.per_source == {"mi": mi, "ssim": [sa, sb], "psnr": [pa, pb], "vif": vif,
                                     "cc": [cc_a, cc_b]}, shape
 
+    def test_each_cc_correlation_is_formed_once(self, monkeypatch):
+        # report passes its correlation of f with each source to scd_cc and to
+        # per_source: four _corr calls, two for SCD and two for CC, with the
+        # bits of scd_cc called alone
+        import flowfuse.metrics as m
+
+        f, a, b = (textured((37, 52), 50 + k) for k in range(3))
+        calls, real = [], m._corr
+        monkeypatch.setattr(m, "_corr", lambda x, y: calls.append(1) or real(x, y))
+        r = report(f, a, b)
+        monkeypatch.undo()
+        assert len(calls) == 4
+        assert (r.scd, r.cc) == scd_cc(f, a, b)
+        assert r.per_source["cc"] == [m._corr(f, a), m._corr(f, b)]
+
     def test_shared_statistics_are_read_only_and_give_the_same_bits(self):
         f, a, b = textured((37, 52), 40), textured((37, 52), 41), textured((37, 52), 42)
         moments, scales = ssim_moments(f), vif_scales(f)

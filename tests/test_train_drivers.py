@@ -133,3 +133,21 @@ def test_resumed_codec_matches_architecture(tiny_data, tmp_path):
     codec = load_codec_checkpoint(ckpt)
     assert codec.hidden == (4, 6)
     assert codec.latent_channels == 4
+
+
+def test_training_pairs_a_and_b_files_by_stem_across_formats(tiny_data, tmp_path):
+    # A/0000.png pairs with B/0000.pgm, as eval pairs them: one rule for both commands
+    from flowfuse.imgio import load_image, save_image
+
+    for pb in sorted((tiny_data / "B").glob("*.png")):
+        save_image(pb.with_suffix(".pgm"), load_image(pb))
+        pb.unlink()
+    pairs = cli._pair_lumas(tiny_data)
+    assert len(pairs) == 3
+    for (a, b), k in zip(pairs, range(3)):
+        assert np.array_equal(a, load_image(tiny_data / "A" / f"{k:04d}.png").pixels)
+        assert np.array_equal(b, load_image(tiny_data / "B" / f"{k:04d}.pgm").pixels)
+    out = tmp_path / "run"
+    out.mkdir()
+    cli.train_codec1(_cfg(tiny_data), out, echo=lambda *_: None)
+    assert len((out / "codec1_loss.csv").read_text().splitlines()) == 1 + 6
