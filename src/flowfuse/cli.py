@@ -35,9 +35,6 @@ from . import metrics as _metrics
 def build_guidance_spec(cfg: Config) -> GuidanceSpec:
     return GuidanceSpec(
         rho=cfg["guidance.rho"],
-        rho_schedule=cfg["guidance.schedule"],
-        measurement=cfg["guidance.measurement"],
-        em_iters=cfg["guidance.em_iters"],
         grad_mode=cfg["guidance.grad_mode"],
     )
 
@@ -271,13 +268,13 @@ def _load_cfg(args, **overrides) -> Config:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_cfg(args, **{"data.kind": args.kind, "data.count": args.count,
-                             "data.size": args.size})
+    flags = {"data.kind": args.kind, "data.count": args.count, "data.size": args.size}
+    cfg = _load_cfg(args, **{k: v for k, v in flags.items() if v is not None})
     out = _outdir(args, cfg)
-    names = generate(args.kind, args.count, args.size, cfg["run.seed"], out,
-                     force=args.force)
+    names = generate(cfg["data.kind"], cfg["data.count"], cfg["data.size"], cfg["run.seed"],
+                     out, force=args.force)
     cfg.write_resolved(out / "resolved.cfg")
-    print(f"wrote {len(names)} {args.kind} pairs under {out}/A and {out}/B")
+    print(f"wrote {len(names)} {cfg['data.kind']} pairs under {out}/A and {out}/B")
     return 0
 
 
@@ -436,9 +433,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic paired dataset")
-    p.add_argument("--kind", choices=("ivif", "mef", "mff"), default="ivif")
-    p.add_argument("--count", type=int, default=16)
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--kind", choices=("ivif", "mef", "mff"), help="overrides data.kind")
+    p.add_argument("--count", type=int, help="overrides data.count")
+    p.add_argument("--size", type=int, help="overrides data.size")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train the flow model or a codec stage")

@@ -40,7 +40,7 @@ def _side(val) -> int:
     return side
 
 
-_COUNT = Bound(1)  # steps, batch sizes, iterations
+_COUNT = Bound(1)  # steps, batch sizes, pair counts
 _RATE = Bound(0.0, strict=True)  # learning rates
 _WEIGHT = Bound(0.0)  # guidance strength and loss weights
 
@@ -57,9 +57,6 @@ SCHEMA = {
     "flow.data": (str, "latents", ("latents", "toy2d")),
     "flow.time_eps": (float, 1e-3, Bound(0.0, high=1.0)),
     "guidance.rho": (float, 0.5, _WEIGHT),
-    "guidance.schedule": (str, "constant", ("constant", "linear-decay")),
-    "guidance.measurement": (str, "weighted-target", ("weighted-target", "em-prior")),
-    "guidance.em_iters": (int, 3, _COUNT),
     "guidance.grad_mode": (str, "full-vjp", ("full-vjp", "stop-grad")),
     "codec.hidden": (str, "32,64", None),
     "codec.lambda_fre": (float, 0.1, _WEIGHT),

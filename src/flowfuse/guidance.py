@@ -1,9 +1,9 @@
 """Fusion prior injection for guided sampling.
 
-The sampler state is pulled toward a measurement target y built from the two
-source images: either a saliency-weighted blend or an EM-refined target. The
-likelihood gradient is rho(t) * grad_f ||y - f0_hat(f)||^2 with f0_hat the
-clean-endpoint estimate; the guided velocity adds it with a semi-implicit
+The sampler state is pulled toward a measurement target y, the saliency-
+weighted blend of the two source images. The likelihood gradient is
+rho * grad_f ||y - f0_hat(f)||^2 with f0_hat the clean-endpoint estimate and
+rho a constant strength; the guided velocity adds it with a semi-implicit
 damping 1/(1 + 2 rho dt) so that one large-rho step lands on y instead of
 overshooting (the dt -> 0 limit is the plain continuous-time field).
 
@@ -56,36 +56,20 @@ class WeightMaps:
 class GuidanceSpec:
     """Fusion-prior configuration.
 
-    rho: guidance scale >= 0; rho_schedule: constant or linear-decay
-    (rho(t) = rho * t); measurement: weighted-target or em-prior;
-    grad_mode: full-vjp differentiates through the velocity network,
-    stop-grad treats the velocity as constant. weight_maps overrides the
-    saliency weights when set (testing hook).
+    rho: constant guidance strength >= 0; grad_mode: full-vjp differentiates
+    through the velocity network, stop-grad treats the velocity as constant.
+    weight_maps overrides the saliency weights when set (testing hook).
     """
 
     rho: float = 0.5
-    rho_schedule: str = "constant"
-    measurement: str = "weighted-target"
-    em_iters: int = 3
     grad_mode: str = "full-vjp"
     weight_maps: WeightMaps | None = None
 
     def __post_init__(self):
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
-        if self.rho_schedule not in ("constant", "linear-decay"):
-            raise ValueError(f"unknown rho schedule {self.rho_schedule!r}")
-        if self.measurement not in ("weighted-target", "em-prior"):
-            raise ValueError(f"unknown measurement {self.measurement!r}")
-        if self.em_iters < 1:
-            raise ValueError("em_iters must be >= 1")
         if self.grad_mode not in ("full-vjp", "stop-grad"):
             raise ValueError(f"unknown grad mode {self.grad_mode!r}")
-
-    def rho_at(self, t: float) -> float:
-        if self.rho_schedule == "linear-decay":
-            return self.rho * t
-        return self.rho
 
 
 # -- saliency weights and blend targets ---------------------------------------------
@@ -113,35 +97,6 @@ def weighted_target(i, v, w: WeightMaps) -> np.ndarray:
     return np.clip(w.w_v * b + w.w_ir * a, 0.0, 1.0)
 
 
-def em_fusion_prior(f0_hat, i, v, iters: int = 3, scale: float = 0.1, reg: float = 0.3):
-    """EM-style refinement of the measurement target.
-
-    E-step: per-pixel responsibilities of the two sources from Laplace
-    residual likelihoods exp(-|f - source| / scale). M-step: responsibility
-    blend of the sources, pulled toward f0_hat where the sources disagree
-    (the pull fades with the agreement weight exp(-|i - v| / scale), so
-    identical sources fix y = i after one iteration). Deterministic; output
-    stays inside [min(i, v, f0_hat), max(i, v, f0_hat)] pixelwise.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    f0 = as_array(f0_hat).astype(np.float64)
-    a, b = np.broadcast_to(as_array(i), f0.shape), np.broadcast_to(as_array(v), f0.shape)
-    agree = np.exp(-np.abs(a - b) / scale)
-    f = f0
-    for _ in range(iters):
-        di, dv = np.abs(f - a), np.abs(f - b)
-        # shift both exponents by the nearer distance: the nearer source's
-        # weight is exactly 1, so a far f cannot underflow both to 0 / 0
-        near = np.minimum(di, dv)
-        wi = np.exp(-(di - near) / scale)
-        wv = np.exp(-(dv - near) / scale)
-        r = wi / (wi + wv)
-        d = r * a + (1.0 - r) * b
-        f = d + reg * (1.0 - agree) * (f0 - d)
-    return f
-
-
 def _source_weights(i: np.ndarray, v: np.ndarray, spec: GuidanceSpec):
     """Weight maps in the sampling space; rank-3 latents get (H, W) maps of the
     channel means, which broadcast over the channels."""
@@ -154,14 +109,12 @@ def _source_weights(i: np.ndarray, v: np.ndarray, spec: GuidanceSpec):
     raise ValueError(f"sources must be rank 2 or 3, got rank {i.ndim}")
 
 
-def measurement_target(f0_hat: np.ndarray, i, v, spec: GuidanceSpec) -> np.ndarray:
+def measurement_target(i, v, spec: GuidanceSpec) -> np.ndarray:
     """The y of the likelihood term, in the same space as the sampler state."""
     a = as_array(i).astype(np.float64, copy=False)
     b = as_array(v).astype(np.float64, copy=False)
     if a.shape != b.shape:
         raise ValueError(f"source shape mismatch: {a.shape} vs {b.shape}")
-    if spec.measurement == "em-prior":
-        return em_fusion_prior(f0_hat, a, b, spec.em_iters)
     w = _source_weights(a, b, spec)
     y = w.w_v * b + w.w_ir * a
     if a.ndim == 2:  # pixel space stays inside the image domain
@@ -174,7 +127,7 @@ def measurement_target(f0_hat: np.ndarray, i, v, spec: GuidanceSpec) -> np.ndarr
 
 def likelihood_grad(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpec,
                     vhat=None):
-    """rho(t) * grad_f || y - f0_hat(f) ||^2 with f0_hat = f - t * v(f, t).
+    """rho * grad_f || y - f0_hat(f) ||^2 with f0_hat = f - t * v(f, t).
 
     stop-grad treats the velocity as a constant (gradient 2 rho (f0_hat - y));
     full-vjp back-propagates through the velocity network. y is always held
@@ -182,11 +135,10 @@ def likelihood_grad(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpe
     it saves the caller's second forward pass.
     """
     f = as_array(f_t).astype(np.float64, copy=False)
-    rho_t = spec.rho_at(t)
     if vhat is None:
         vhat = model.evaluate(f, t)
     f0 = f - t * vhat
-    y = measurement_target(f0, i, v, spec)
+    y = measurement_target(i, v, spec)
     if spec.grad_mode == "stop-grad":
         grad = 2.0 * (f0 - y)
     else:
@@ -197,7 +149,7 @@ def likelihood_grad(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpe
         grad = ad.backward(loss, [x])[x]
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite likelihood gradient")
-    return rho_t * grad
+    return spec.rho * grad
 
 
 def guided_velocity(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpec | None,
@@ -212,10 +164,7 @@ def guided_velocity(f_t, t: float, model: VelocityModel, i, v, spec: GuidanceSpe
     """
     f = as_array(f_t)
     base = model.evaluate(f, t)
-    if spec is None:
-        return base
-    rho_t = spec.rho_at(t)
-    if rho_t == 0.0:
+    if spec is None or spec.rho == 0.0:
         return base
     lg = likelihood_grad(f, t, model, i, v, spec, vhat=base)
-    return base + lg / (1.0 + 2.0 * rho_t * dt)
+    return base + lg / (1.0 + 2.0 * spec.rho * dt)

@@ -371,6 +371,39 @@ def test_fuse_writes_an_rgb_png_for_an_rgb_visible_input(workspace, tmp_path):
     assert r > g > b  # the visible image's tint comes back
 
 
+def test_synth_reads_kind_count_and_size_from_the_config(tmp_path):
+    from flowfuse.config import parse_config
+    from flowfuse.imgio import load_image
+    from flowfuse.synth import make_pair
+
+    cfgfile = tmp_path / "synth.cfg"
+    cfgfile.write_text("data.kind = mef\ndata.count = 2\ndata.size = 16\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--seed", "3", "--out", str(out), "synth"]) == 0
+    resolved = parse_config(path=out / "resolved.cfg")
+    assert (resolved["data.kind"], resolved["data.count"], resolved["data.size"]) == ("mef", 2, 16)
+    assert sorted(p.name for p in (out / "A").glob("*.png")) == ["0000.png", "0001.png"]
+    for k in range(2):
+        for side, img in zip("AB", make_pair("mef", 16, 3, k)):
+            written = load_image(out / side / f"{k:04d}.png").pixels
+            assert np.array_equal(written, np.round(img.pixels * 255.0) / 255.0), (side, k)
+
+
+def test_synth_flags_override_the_config(tmp_path):
+    from flowfuse.config import parse_config
+    from flowfuse.imgio import load_image
+
+    cfgfile = tmp_path / "synth.cfg"
+    cfgfile.write_text("data.kind = mef\ndata.count = 2\ndata.size = 16\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out), "synth",
+                 "--kind", "mff", "--count", "3", "--size", "8"]) == 0
+    resolved = parse_config(path=out / "resolved.cfg")
+    assert (resolved["data.kind"], resolved["data.count"], resolved["data.size"]) == ("mff", 3, 8)
+    files = sorted((out / "B").glob("*.png"))
+    assert len(files) == 3 and load_image(files[0]).pixels.shape == (8, 8)
+
+
 def test_synth_with_a_negative_count_exits_non_zero_naming_the_key(tmp_path):
     import os
     import subprocess

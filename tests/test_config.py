@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from flowfuse.config import SCHEMA, ConfigError, parse_config
+from flowfuse.config import SCHEMA, Bound, ConfigError, parse_config
 
 
 def test_defaults_filled():
@@ -39,7 +39,7 @@ def test_bad_value_reports_line_number():
 
 def test_choice_validation():
     with pytest.raises(ConfigError, match="one of"):
-        parse_config("guidance.schedule = quadratic\n")
+        parse_config("guidance.grad_mode = quadratic\n")
 
 
 def test_overrides_and_dump_roundtrip():
@@ -96,8 +96,9 @@ def test_data_size_must_be_a_multiple_of_4():
 def test_range_edges_accepted():
     cfg = parse_config("guidance.rho = 0\ncodec.lambda_color = 0\nflow.steps = 1\n"
                        "flow.time_eps = 0\n",
-                       overrides={"flow.lr": "1e-9", "guidance.em_iters": "1"})
+                       overrides={"flow.lr": "1e-9", "codec.batch": "1"})
     assert (cfg["guidance.rho"], cfg["flow.steps"], cfg["flow.lr"]) == (0.0, 1, 1e-9)
+    assert cfg["codec.batch"] == 1
     assert cfg["flow.time_eps"] == 0.0
     assert parse_config(overrides={"flow.time_eps": "0.999"})["flow.time_eps"] == 0.999
     for key, val in (("guidance.rho", "-0.1"), ("codec.lambda_mask", "inf"), ("flow.lr", "0")):
@@ -105,10 +106,28 @@ def test_range_edges_accepted():
             parse_config(overrides={key: val})
 
 
+@pytest.mark.parametrize("key,val", [("guidance.schedule", "constant"),
+                                     ("guidance.measurement", "weighted-target"),
+                                     ("guidance.em_iters", "3")])
+def test_deleted_guidance_keys_rejected_in_files_and_overrides(key, val):
+    # guidance runs one target at a constant rho; a resolved.cfg written while
+    # these keys existed fails to parse, naming the key
+    with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+        parse_config(f"guidance.rho = 0.3\n{key} = {val}\n")
+    with pytest.raises(ConfigError, match=f"override {key} = '{val}': unknown key '{key}'"):
+        parse_config(overrides={key: val})
+
+
 def test_every_schema_key_is_used_outside_config():
     # a key that no code names changes nothing; codec.lambda_color weighs no
-    # term but stays while perfbench's train-32 config sets it (ROADMAP item 1)
+    # term but stays while perfbench's train-32 config sets it (ROADMAP item 1).
+    # Likewise a choice that no code names, beyond the default, selects nothing.
     src = Path(__file__).resolve().parents[1] / "src" / "flowfuse"
     code = "".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
     unused = [k for k in SCHEMA if f'"{k}"' not in code]
     assert unused == ["codec.lambda_color"]
+    choices = [(k, c) for k, (_, default, allowed) in SCHEMA.items()
+               if isinstance(allowed, tuple) and not isinstance(allowed, Bound)
+               for c in allowed if c != default]
+    assert [(k, c) for k, c in choices if f'"{c}"' not in code] == []
+    assert sorted(c for _, c in choices) == ["mef", "mff", "noise", "stop-grad", "toy2d"]

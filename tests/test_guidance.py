@@ -6,7 +6,6 @@ from flowfuse.image import gaussian_blur
 from flowfuse.guidance import (
     GuidanceSpec,
     WeightMaps,
-    em_fusion_prior,
     guided_velocity,
     likelihood_grad,
     measurement_target,
@@ -105,42 +104,6 @@ class TestWeightedTarget:
         assert np.all(y <= np.maximum(i, v) + 1e-12)
 
 
-class TestEmFusionPrior:
-    def test_identical_sources_after_one_iteration(self):
-        rng = np.random.default_rng(5)
-        src = rng.random((7, 7))
-        y = em_fusion_prior(rng.random((7, 7)), src, src, iters=1)
-        assert np.abs(y - src).max() < 1e-12
-
-    def test_midpoint_is_a_fixed_point(self):
-        rng = np.random.default_rng(6)
-        i = rng.random((6, 6)) * 0.4
-        v = i + 0.4
-        f0 = (i + v) / 2.0  # symmetric responsibilities keep the blend at f0
-        y = em_fusion_prior(f0, i, v, iters=5)
-        assert np.abs(y - f0).max() < 1e-9
-
-    @pytest.mark.parametrize("iters", [1, 3])
-    def test_far_estimate_stays_finite_and_in_bounds(self, iters):
-        # |f0 - source| / scale beyond ~745 underflows both Laplace weights
-        y = em_fusion_prior(np.array([[80.0]]), np.array([[0.0]]), np.array([[1.0]]), iters)
-        assert np.isfinite(y).all() and 0.0 <= y[0, 0] <= 80.0
-        f0 = np.array([[-1e4, 80.0, 1e4, 0.5]])
-        i, v = np.array([[0.0, 0.0, 0.2, 0.3]]), np.array([[1.0, 1.0, 0.9, 0.7]])
-        y = em_fusion_prior(f0, i, v, iters)
-        assert np.isfinite(y).all()
-        assert np.all(y >= np.minimum(np.minimum(i, v), f0))
-        assert np.all(y <= np.maximum(np.maximum(i, v), f0))
-
-    def test_output_within_convex_hull(self):
-        rng = np.random.default_rng(7)
-        i, v, f0 = rng.random((9, 9)), rng.random((9, 9)), rng.random((9, 9))
-        y = em_fusion_prior(f0, i, v, iters=3)
-        lo = np.minimum(np.minimum(i, v), f0)
-        hi = np.maximum(np.maximum(i, v), f0)
-        assert np.all(y >= lo - 1e-12) and np.all(y <= hi + 1e-12)
-
-
 class TestLikelihoodGrad:
     def test_zero_at_the_residual_minimum(self):
         rng = np.random.default_rng(8)
@@ -159,7 +122,7 @@ class TestLikelihoodGrad:
         rho = 0.7
         spec = GuidanceSpec(rho=rho, grad_mode="stop-grad")
         model = VelocityModel.constant(0.3)
-        y = measurement_target(f, i, v, spec)
+        y = measurement_target(i, v, spec)
         g = likelihood_grad(f, 0.0, model, i, v, spec)
         assert np.abs(g - 2.0 * rho * (f - y)).max() < 1e-12
 
@@ -171,8 +134,7 @@ class TestLikelihoodGrad:
         i, v = rng.random(dim).reshape(8, 8), rng.random(dim).reshape(8, 8)
         t, rho = 0.6, 0.9
         spec = GuidanceSpec(rho=rho, grad_mode="full-vjp")
-        y = measurement_target(
-            (f - t * model.evaluate(f, t)).reshape(8, 8), i, v, spec).ravel()
+        y = measurement_target(i, v, spec).ravel()
 
         def scalar(fv):
             f0 = fv - t * model.evaluate(fv, t)
@@ -182,7 +144,7 @@ class TestLikelihoodGrad:
                             i, v,
                             GuidanceSpec(rho=rho, grad_mode="full-vjp",
                                          weight_maps=None)).ravel()
-        # y above was computed from the same f0_hat/saliency path, so it matches
+        # y above was computed from the same saliency path, so it matches
         num = np.zeros(dim)
         h = 1e-5
         for k in range(dim):
@@ -321,7 +283,7 @@ class TestMeasurementTarget:
         rng = np.random.default_rng(19)
         z_i, z_v = rng.standard_normal((4, 6, 6)), rng.standard_normal((4, 6, 6))
         spec = GuidanceSpec(rho=1.0)
-        y = measurement_target(np.zeros((4, 6, 6)), z_i, z_v, spec)
+        y = measurement_target(z_i, z_v, spec)
         assert y.shape == (4, 6, 6)
         lo = np.minimum(z_i, z_v)
         hi = np.maximum(z_i, z_v)
@@ -334,15 +296,6 @@ class TestMeasurementTarget:
             i, v = rng.standard_normal(shape), rng.standard_normal(shape)
             if len(shape) == 2:  # pixel sources, with some outside [0, 1] for the clip
                 i, v = i * 0.3 + 0.5, v * 0.3 + 0.5
-            y = measurement_target(np.zeros(shape), i, v, spec)
+            y = measurement_target(i, v, spec)
             assert y.shape == shape
             assert np.array_equal(y, old_weighted_measurement(i, v)), shape
-
-    def test_em_prior_measurement(self):
-        rng = np.random.default_rng(20)
-        i, v = rng.random((6, 6)), rng.random((6, 6))
-        spec = GuidanceSpec(rho=1.0, measurement="em-prior", em_iters=2)
-        f0 = (i + v) / 2
-        y = measurement_target(f0, i, v, spec)
-        assert y.shape == (6, 6)
-        assert np.all(np.isfinite(y))
