@@ -3,21 +3,26 @@
 A dynamic tape: every operation allocates a Node holding the cached forward
 value, references to its parents, and a vector-Jacobian closure. Graphs are
 rebuilt per step; backward() walks the DAG in reverse topological order and
-accumulates adjoints. Primitives:
+accumulates adjoints, dropping each one once its node's vjp has used it, so
+a backward holds the adjoints of a graph's frontier, not of all its nodes.
+Primitives:
 
     add, sub, mul, div, matmul, column concat, reshape, conv2d (stride 1|2)
-    and its adjoint transposed conv2d, band_filter (a fixed separable
-    valid-mode window), leaky_relu, tanh, log1p, abs (subgradient 0 at 0),
-    sum, mean, fft2 (complex, linear adjoint), complex magnitude, min-max
-    normalize (per slice over the trailing two axes), clamp (identity inside
-    the bounds, zero outside).
+    and its adjoint transposed conv2d, each with an optional bias and leaky
+    slope, band_filter (a fixed separable valid-mode window), leaky_relu,
+    tanh, log1p, abs (subgradient 0 at 0), sum, mean, fft2 (complex, linear
+    adjoint), complex magnitude, min-max normalize (per slice over the
+    trailing two axes), clamp (identity inside the bounds, zero outside).
 
 conv2d, transposed conv2d and fft2 take a leading batch axis, so a batch of
 images runs as one graph. transposed conv2d runs conv2d's kernels in reverse:
 its forward is conv2d's input gradient, and its input gradient conv2d's forward.
-conv2d serves the learned layers. A fixed window, such as a loss's SSIM or
-Sobel filter, is a band_filter: image.correlate1d's band products over the
-last two axes of any stack, so the loss filters with the metrics' matrices.
+conv2d serves the learned layers: convolution, bias and leaky slope as one
+node that holds one array, with the bits of the three separate ops (see
+conv2d). A fixed window, such as a
+loss's SSIM or Sobel filter, is a band_filter: image.correlate1d's band
+products over the last two axes of any stack, so the loss filters with the
+metrics' matrices.
 
 A leaf takes a gradient and a constant does not; an op node takes one iff
 one of its parents does. So a graph over frozen parameters or fixed data,
@@ -320,21 +325,54 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, stride: int, pad, xshape) -> 
 def _conv_weight_grad(g: np.ndarray, x: np.ndarray, wshape, stride: int, pad,
                       windows=None) -> np.ndarray:
     """The gradient of _conv_forward with respect to its weight of shape
-    wshape: the output gradient g against the windows of the input x. Weights
-    first builds no windows, so they are built here from x, inside a vjp, and
-    a graph that runs no backward never builds them."""
+    wshape: the output gradient g against the windows of the input x. The
+    windows are C_in·kh·kw times the input's size, so no forward keeps them:
+    they are built here from x, inside a vjp, unless the caller has just built
+    them itself (transposed_conv2d's dx), and a graph that runs no backward
+    never builds them."""
     cout, _, kh, kw = wshape
     if windows is None:
         windows = _im2col(x, kh, kw, stride, pad)[0]
     return np.matmul(g.reshape(len(g), cout, -1), windows.swapaxes(1, 2)).sum(0).reshape(wshape)
 
 
-def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
+def _layer(op: str, out: np.ndarray, x: Node, w: Node, bias: Node | None, slope,
+           grads) -> Node:
+    """One layer as one node: out, the kernels' result from x and w with bias
+    already added, takes the leaky slope, and the node holds that one array.
+    grads(g) gives (dx, dw) for the gradient g that reaches the kernels."""
+    if slope is not None:
+        # a fresh array, as the separate ops made, and out is freed: a slope
+        # applied in place frees its temporary above out, at the heap top,
+        # which glibc then trims and the next call faults in again
+        out = _leaky_max(out, check_slope(slope))
+
+    def vjp(g):
+        if slope is not None:
+            g = _leaky_grad(g, out, slope)  # y > 0 iff x > 0 (see leaky_relu)
+        if bias is None:
+            return grads(g)
+        # no sum for a bias that takes no gradient (backward skips None)
+        return (*grads(g), _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+
+    return Node(out, (x, w) if bias is None else (x, w, bias), vjp, op=op)
+
+
+def conv2d(x, w, stride: int = 1, pad: int = 0, bias=None, slope=None) -> Node:
     """NCHW convolution (cross-correlation), weights (C_out, C_in, kh, kw).
 
     pad zeros on each side, 0 <= pad < min(kh, kw), and the padded input
     must hold at least one kernel window. The forward, input gradient and
-    weight gradient are _conv_forward, _conv_input_grad and _conv_weight_grad."""
+    weight gradient are _conv_forward, _conv_input_grad and _conv_weight_grad;
+    the node keeps no im2col windows, so dw builds them in the vjp.
+
+    With bias, and slope in [0, 1], the node is leaky_relu(conv2d + bias,
+    slope) bit for bit in value and gradients, as one node that holds one
+    array: the convolution's and the bias sum's arrays are freed, and the vjp
+    takes the slope mask from the output's sign, which is its input's. The
+    one exception is leaky_relu's: slope 0 at +inf, whose output is NaN and
+    takes gradient 0 here, 1 there. bias is a (C_out, 1, 1) array or any
+    other shape that broadcasts against the output."""
     x, w = _wrap(x), _wrap(w)
     _check_conv("conv2d", x, w, stride, pad, 1)
     (_, _, h, wdt), (_, _, kh, kw) = x.shape, w.shape
@@ -342,27 +380,28 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Node:
         raise ValueError(f"conv2d input {x.shape} padded by {pad} is smaller than the kernel "
                          f"{w.shape}")
     pads = (pad, pad)
-    out, cols = _conv_forward(x.value, w.value, stride, pads)
-    if not w.requires_grad:
-        cols = None  # only dw reads the windows; do not keep them with the graph
+    out = _conv_forward(x.value, w.value, stride, pads)[0]
+    if bias is not None:
+        bias = _wrap(bias)
+        out = out + bias.value
 
-    def vjp(g):
-        # no product for an operand that takes no gradient (backward skips None)
+    def grads(g):
         return (_conv_input_grad(g, w.value, stride, pads, x.shape) if x.requires_grad else None,
-                _conv_weight_grad(g, x.value, w.shape, stride, pads, cols)
-                if w.requires_grad else None)
+                _conv_weight_grad(g, x.value, w.shape, stride, pads) if w.requires_grad else None)
 
-    return Node(out, (x, w), vjp, op="conv2d")
+    return _layer("conv2d", out, x, w, bias, slope, grads)
 
 
-def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
+def transposed_conv2d(x, w, stride: int, pad: int, out_hw, bias=None, slope=None) -> Node:
     """Adjoint of conv2d: upsamples (N, C_in, h, w) to (N, C_out, H, W).
 
     Weights are (C_in, C_out, kh, kw), the layout of the conv2d it is the
     adjoint of; out_hw pins the output spatial size (the adjoint geometry is
     ambiguous by stride-1 pixels otherwise). Its forward is that conv2d's input
     gradient and its input gradient that conv2d's forward, on the same kernels;
-    its weight gradient is _conv_weight_grad with x and g swapped."""
+    its weight gradient is _conv_weight_grad with x and g swapped, on the
+    windows of g that the vjp's dx has just built. bias and slope are as in
+    conv2d."""
     x, w = _wrap(x), _wrap(w)
     _check_conv("transposed_conv2d", x, w, stride, pad, 0)
     (n, _, h, wdt), (_, cout, kh, kw) = x.shape, w.shape
@@ -372,13 +411,16 @@ def transposed_conv2d(x, w, stride: int, pad: int, out_hw) -> Node:
                          f"{oh}x{ow}")
     pads = (pad, pad)
     out = _conv_input_grad(x.value, w.value, stride, pads, (n, cout, oh, ow))
+    if bias is not None:
+        bias = _wrap(bias)
+        out = out + bias.value  # and the scatter's padded buffer is freed
 
-    def vjp(g):
+    def grads(g):
         dx, win = _conv_forward(g, w.value, stride, pads) if x.requires_grad else (None, None)
         return dx, (_conv_weight_grad(x.value, g, w.shape, stride, pads, win)
                     if w.requires_grad else None)
 
-    return Node(out, (x, w), vjp, op="tconv2d")
+    return _layer("tconv2d", out, x, w, bias, slope, grads)
 
 
 def band_filter(x, k_rows, k_cols) -> Node:
@@ -409,23 +451,32 @@ def check_slope(alpha, what: str = "leaky_relu slope") -> float:
     return float(alpha)
 
 
+def _leaky_max(x: np.ndarray, alpha: float) -> np.ndarray:
+    """max(x, alpha x) as a fresh array: the slope of leaky_relu and of the
+    conv layers."""
+    y = alpha * x
+    return np.maximum(x, y, out=y)  # in place: a fresh output costs more than the max
+
+
+def _leaky_grad(g: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
+    """g times the leaky slope's derivative at x: 1 where x > 0, alpha
+    elsewhere. The mask is built here, in the vjp, so a graph that runs no
+    backward skips it."""
+    slope = np.maximum(x > 0, alpha)
+    return np.multiply(g, slope, out=slope)
+
+
 def leaky_relu(x, alpha: float = 0.2) -> Node:
     """max(x, alpha x) with slope alpha in [0, 1]; the gradient is 1 where
     x > 0 and alpha elsewhere. For such a slope the max equals the select
     where(x > 0, x, alpha x) bit for bit, signed zeros and NaN included, at a
-    fraction of its cost. The one exception is alpha = 0 at x = +inf, where
-    0 * inf makes the max NaN."""
+    fraction of its cost, and y > 0 exactly where x > 0, so the conv layers'
+    fused slope takes its mask from their output. The one exception is
+    alpha = 0 at x = +inf, where 0 * inf makes the max NaN."""
     check_slope(alpha)
     x = _wrap(x)
-    y = alpha * x.value
-    np.maximum(x.value, y, out=y)  # in place: a fresh output costs more than the max
-
-    def vjp(g):
-        # the sign mask is built here, so a graph that runs no backward skips it
-        slope = np.maximum(x.value > 0, alpha)
-        return (np.multiply(g, slope, out=slope),)
-
-    return Node(y, (x,), vjp, op="leaky_relu")
+    return Node(_leaky_max(x.value, alpha), (x,), lambda g: (_leaky_grad(g, x.value, alpha),),
+                op="leaky_relu")
 
 
 def tanh(x) -> Node:
@@ -574,7 +625,8 @@ def backward(output: Node, wrt) -> dict:
     """Adjoints of a scalar output with respect to the requested nodes.
 
     Every requested node must take a gradient and be part of output's graph.
-    Returns {node: gradient array}; forward values are left untouched.
+    Returns {node: gradient array}; forward values are left untouched. Any
+    other node's adjoint is dropped as soon as its vjp has run.
     """
     if output.value.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
@@ -588,8 +640,11 @@ def backward(output: Node, wrt) -> dict:
         if id(node) not in in_graph:
             raise ValueError("requested node is not part of the output's graph")
     adjoint = {id(output): np.ones_like(output.value, dtype=np.float64)}
+    keep = {id(n) for n in wrt}
     for node in reversed(order):
-        g = adjoint.get(id(node))
+        # parents come later in reverse topological order, so no node reads
+        # this adjoint after its vjp: drop it, unless it is asked for
+        g = adjoint.get(id(node)) if id(node) in keep else adjoint.pop(id(node), None)
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):

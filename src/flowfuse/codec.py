@@ -2,10 +2,11 @@
 
 The encoder downsamples 4x with two stride-2 convolutions into a 4-channel
 latent; the decoder mirrors it with transposed convolutions and a final clamp
-to [0, 1]. Stage one fits encoder and decoder with reconstruction plus a
-spectral log-magnitude loss; stage two freezes the encoder and fine-tunes the
-decoder alone with the fusion loss, so that decoding a source latent starts
-producing fused-looking images.
+to [0, 1]. Each layer, its bias and its leaky slope are one autodiff call, so
+a training graph holds one array per layer. Stage one fits encoder and
+decoder with reconstruction plus a spectral log-magnitude loss; stage two
+freezes the encoder and fine-tunes the decoder alone with the fusion loss, so
+that decoding a source latent starts producing fused-looking images.
 
 Each training step runs one batched (n, 1, H, W) graph over all its images
 and one backward pass. A batch with several image shapes gets one graph per
@@ -100,17 +101,16 @@ class CodecParams:
 
 
 def _encode_nodes(get, p: CodecParams, x: ad.Node) -> ad.Node:
-    h = ad.leaky_relu(ad.conv2d(x, get("w0"), 2, 1) + get("b0"), p.alpha)
-    h = ad.leaky_relu(ad.conv2d(h, get("w1"), 2, 1) + get("b1"), p.alpha)
-    return ad.conv2d(h, get("w2"), 1, 1) + get("b2")
+    h = ad.conv2d(x, get("w0"), 2, 1, get("b0"), p.alpha)
+    h = ad.conv2d(h, get("w1"), 2, 1, get("b1"), p.alpha)
+    return ad.conv2d(h, get("w2"), 1, 1, get("b2"))
 
 
 def _decode_nodes(get, p: CodecParams, z: ad.Node) -> ad.Node:
     n, _, h, w = z.value.shape
-    y = ad.leaky_relu(ad.conv2d(z, get("w0"), 1, 1) + get("b0"), p.alpha)
-    y = ad.leaky_relu(ad.transposed_conv2d(y, get("w1"), 2, 1, (2 * h, 2 * w)) + get("b1"),
-                      p.alpha)
-    y = ad.transposed_conv2d(y, get("w2"), 2, 1, (4 * h, 4 * w)) + get("b2")
+    y = ad.conv2d(z, get("w0"), 1, 1, get("b0"), p.alpha)
+    y = ad.transposed_conv2d(y, get("w1"), 2, 1, (2 * h, 2 * w), get("b1"), p.alpha)
+    y = ad.transposed_conv2d(y, get("w2"), 2, 1, (4 * h, 4 * w), get("b2"))
     return ad.clamp(y, 0.0, 1.0)
 
 

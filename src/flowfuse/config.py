@@ -40,6 +40,23 @@ def _side(val) -> int:
     return side
 
 
+def _width_pair(val) -> tuple:
+    """The two layer widths of "c1,c2": positive integers."""
+    try:
+        widths = tuple(int(part) for part in str(val).split(","))
+    except ValueError:
+        widths = ()
+    if len(widths) != 2 or min(widths) < 1:
+        raise ValueError(f"must be two comma-separated positive integers, got {val!r}")
+    return widths
+
+
+def _widths(val) -> str:
+    """A _width_pair, kept as written, so resolved.cfg holds the same text."""
+    _width_pair(val)
+    return val
+
+
 _COUNT = Bound(1)  # steps, batch sizes, pair counts
 _RATE = Bound(0.0, strict=True)  # learning rates
 _WEIGHT = Bound(0.0)  # guidance strength and loss weights
@@ -50,7 +67,7 @@ SCHEMA = {
     "run.out": (str, "out", None),
     "flow.steps": (int, 1, _COUNT),
     "flow.start": (str, "visible", ("visible", "noise")),
-    "flow.hidden": (str, "128,128", None),
+    "flow.hidden": (_widths, "128,128", None),
     "flow.train_steps": (int, 2000, _COUNT),
     "flow.lr": (float, 1e-3, _RATE),
     "flow.batch": (int, 64, _COUNT),
@@ -58,7 +75,7 @@ SCHEMA = {
     "flow.time_eps": (float, 1e-3, Bound(0.0, high=1.0)),
     "guidance.rho": (float, 0.5, _WEIGHT),
     "guidance.grad_mode": (str, "full-vjp", ("full-vjp", "stop-grad")),
-    "codec.hidden": (str, "32,64", None),
+    "codec.hidden": (_widths, "32,64", None),
     "codec.lambda_fre": (float, 0.1, _WEIGHT),
     "codec.lambda_int": (float, 1.0, _WEIGHT),
     "codec.lambda_ssim": (float, 1.0, _WEIGHT),
@@ -87,10 +104,10 @@ class Config:
         return self.values[key]
 
     def hidden_pair(self, key: str):
-        parts = [int(p) for p in str(self.values[key]).split(",") if p.strip()]
-        if len(parts) != 2:
-            raise ConfigError(f"{key} must be two comma-separated widths")
-        return tuple(parts)
+        try:
+            return _width_pair(self.values[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
     def dump(self) -> str:
         lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]

@@ -44,6 +44,7 @@ def adam_step(
         missing = set(pset.params) ^ set(grads)
         raise ValueError(f"gradient map does not match parameter names: {sorted(missing)}")
     t = pset.step + 1
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t  # the bias corrections
     new_p, new_m, new_v = {}, {}, {}
     for k, p in pset.params.items():
         g = np.asarray(grads[k], dtype=np.float64)
@@ -51,11 +52,23 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {k!r}: {g.shape} vs {p.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {k!r}")
-        m = beta1 * pset.m[k] + (1.0 - beta1) * g
-        v = beta2 * pset.v[k] + (1.0 - beta2) * g * g
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        new_p[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # p - lr (m / c1) / (sqrt(v / c2) + eps), operation for operation, in
+        # four arrays (out= keeps even a 0-d parameter an array)
+        m, v, step, tmp = (np.empty(p.shape) for _ in range(4))
+        np.multiply(pset.m[k], beta1, out=m)
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
+        np.multiply(pset.v[k], beta2, out=v)
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
+        new_p[k] = np.subtract(p, step, out=step)
         new_m[k] = m
         new_v[k] = v
     return ParamSet(new_p, new_m, new_v, t)

@@ -546,6 +546,27 @@ class TestBatchedSteps:
         assert peak < 0.5 * 25.96 * 2**20, peak / 2**20
 
 
+    def test_stage1_peak_memory_at_32px(self):
+        # one stage-one step of the benchmark's recipe (32 px, batch 8, hidden
+        # 24,48): 9.71 MiB peak with three arrays per layer on the tape, the
+        # im2col windows held from the forward and every adjoint kept to the
+        # end; 4.62 MiB with one array per layer, windows built in the vjp and
+        # adjoints freed once used (numpy 2.4)
+        import tracemalloc
+
+        from flowfuse import synth
+
+        p = CodecParams.initialize(hidden=(24, 48), seed=1)
+        batch = [img.pixels for k in range(4) for img in synth.make_pair("ivif", 32, 1, k)]
+        tracemalloc.start()
+        try:
+            stage1_step(p, batch, LossWeights())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
+
+
 def _two_call_ssim(a, b):
     """Tape SSIM that filters both images itself, once per call."""
     from flowfuse import autodiff as ad
@@ -627,7 +648,7 @@ def test_stage2_backward_calls_no_vjp_of_the_frozen_encoder(monkeypatch):
     pairs = [(textures(1, 16, 29)[0], textures(1, 16, 30)[0])]
     stage2_step(p, pairs, LossWeights())
     (z,) = latents
-    assert z.op == "add" and not z.requires_grad
+    assert z.op == "conv2d" and not z.requires_grad  # the encoder's last layer
     assert z.parents == () and z.vjp is None
     assert any(z in n.parents for n in decoder_nodes)  # the walk reached the encoder
     assert sorted(n.op for n in decoder_nodes if "conv" in n.op) == ["conv2d", "tconv2d", "tconv2d"]

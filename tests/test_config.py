@@ -56,6 +56,25 @@ def test_hidden_pair_parser():
         parse_config("codec.hidden = 8\n").hidden_pair("codec.hidden")
 
 
+@pytest.mark.parametrize("key", ["codec.hidden", "flow.hidden"])
+@pytest.mark.parametrize("val", ["0,8", "-2,8", "8, x", "8", "8,8,8", "8,,8"])
+def test_bad_hidden_widths_rejected_in_files_and_overrides(key, val):
+    # a zero width divided by zero in the initializers, a negative one failed
+    # in numpy and a non-integer in int(), none of them naming the key
+    why = f"bad value for {key}: must be two comma-separated positive integers, got '{val}'"
+    with pytest.raises(ConfigError, match=f"line 2: {why}"):
+        parse_config(f"run.seed = 1\n{key} = {val}\n")
+    with pytest.raises(ConfigError, match=f"override {key} = '{val}': {why}"):
+        parse_config(overrides={key: val})
+
+
+def test_hidden_widths_kept_as_written():
+    cfg = parse_config("codec.hidden = 8, 16\n", overrides={"flow.hidden": "4 ,4"})
+    assert (cfg.hidden_pair("codec.hidden"), cfg.hidden_pair("flow.hidden")) == ((8, 16), (4, 4))
+    assert "codec.hidden = 8, 16\n" in cfg.dump() and "flow.hidden = 4 ,4\n" in cfg.dump()
+    assert parse_config(cfg.dump()).values == cfg.values
+
+
 def test_override_choice_validation_names_key():
     with pytest.raises(ConfigError, match="override flow.start.*one of"):
         parse_config(overrides={"flow.start": "sideways"})

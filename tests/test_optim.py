@@ -56,3 +56,32 @@ def test_step_is_pure():
     adam_step(ps, {"w": np.array([5.0])}, lr=0.5)
     assert np.array_equal(ps["w"], before)
     assert ps.step == 0
+
+
+def _textbook_adam(ps, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The update written as one expression per quantity, the reference."""
+    t = ps.step + 1
+    new_p, new_m, new_v = {}, {}, {}
+    for k, p in ps.params.items():
+        g = grads[k]
+        m = beta1 * ps.m[k] + (1.0 - beta1) * g
+        v = beta2 * ps.v[k] + (1.0 - beta2) * g * g
+        mhat = m / (1.0 - beta1**t)
+        vhat = v / (1.0 - beta2**t)
+        new_p[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
+        new_m[k], new_v[k] = m, v
+    return ParamSet(new_p, new_m, new_v, t)
+
+
+def test_update_equals_the_textbook_expressions_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3, 1, 1), "s": ()}
+    got = want = ParamSet({k: rng.standard_normal(s) for k, s in shapes.items()})
+    for _ in range(6):
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for k, s in shapes.items()}
+        got = adam_step(got, grads, lr=3e-3, beta1=0.8, beta2=0.99)
+        want = _textbook_adam(want, grads, lr=3e-3, beta1=0.8, beta2=0.99)
+        assert got.step == want.step
+        for k in shapes:
+            for a, b in ((got.params, want.params), (got.m, want.m), (got.v, want.v)):
+                assert np.asarray(a[k]).tobytes() == np.asarray(b[k]).tobytes(), k
